@@ -4,7 +4,10 @@
 //! atomically to disk, as `stream --checkpoint` does).
 //!
 //! Writes `BENCH_stream.json` (shard sweep + baseline + checkpoint
-//! overhead) for tracking.
+//! overhead) for tracking, and exits nonzero when the 50 k-cadence
+//! checkpoint overhead is more than twice what the `BENCH_stream.json` it
+//! found on startup (the committed one, in CI) records — or more than
+//! [`OVERHEAD_RESOLUTION`], when twice the committed value is less.
 
 use std::time::Instant;
 
@@ -13,16 +16,16 @@ use bw_sim::{MemoryOutput, SimConfig, Simulation};
 use logdiver::{LogCollection, LogDiver};
 use logdiver_stream::{Source, StreamConfig, StreamEngine};
 use logdiver_types::SimDuration;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct ShardPoint {
     syslog_shards: usize,
     lines_per_sec: f64,
     vs_batch: f64,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct CheckpointPoint {
     every_lines: u64,
     checkpoints_written: u64,
@@ -30,7 +33,7 @@ struct CheckpointPoint {
     overhead_vs_no_ckpt: f64,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct StreamBench {
     bench: String,
     total_lines: usize,
@@ -111,8 +114,26 @@ fn stream_once(logs: &LogCollection, shards: usize, ckpt: Option<(&str, u64)>) -
     (logs.total_lines() as f64 / secs, written)
 }
 
+/// Best-of-three rates on a shared two-core runner differ by a few percent
+/// run to run; an overhead below this is not told apart from none.
+const OVERHEAD_RESOLUTION: f64 = 0.10;
+
+/// The committed 50 k-cadence overhead, if `text` is a `BENCH_stream.json`.
+fn committed_overhead(text: &str) -> Option<f64> {
+    let committed: StreamBench = serde_json::from_str(text).ok()?;
+    let row = committed
+        .checkpoint
+        .iter()
+        .find(|row| row.every_lines == 50_000)?;
+    Some(row.overhead_vs_no_ckpt)
+}
+
 fn main() {
     banner("P2", "streaming-engine throughput (1 vs N parse workers)");
+    // Snapshot the baseline before the run overwrites the output file.
+    let baseline = std::fs::read_to_string("BENCH_stream.json")
+        .ok()
+        .and_then(|text| committed_overhead(&text));
     let logs = corpus();
     let total = logs.total_lines();
     println!("corpus           : {total} lines");
@@ -146,17 +167,27 @@ fn main() {
     }
 
     // Checkpoint overhead: the 2-shard run again, now paying a quiescent
-    // snapshot + atomic file write every N lines.
-    let no_ckpt = sweep[1].lines_per_sec;
+    // snapshot + atomic file write every N lines. The plain run and the
+    // two cadences take turns, so a slow spell of the host lands on all
+    // three and the best of each is taken under like conditions.
     let ckpt_dir = std::env::temp_dir().join("logdiver-perf-ckpt");
     std::fs::create_dir_all(&ckpt_dir).expect("temp dir");
     let ckpt_path = ckpt_dir.join("bench.ckpt");
     let ckpt_path = ckpt_path.to_str().expect("utf-8 temp path");
+    let cadences = [50_000u64, 10_000];
+    let mut no_ckpt = 0.0f64;
+    let mut best = [(0.0f64, 0u64); 2];
+    for _ in 0..REPS {
+        no_ckpt = no_ckpt.max(stream_once(&logs, 2, None).0);
+        for (slot, every) in best.iter_mut().zip(cadences) {
+            let run = stream_once(&logs, 2, Some((ckpt_path, every)));
+            if run.0 > slot.0 {
+                *slot = run;
+            }
+        }
+    }
     let mut ckpt_sweep = Vec::new();
-    for every in [50_000u64, 10_000] {
-        let (best, written) = (0..REPS)
-            .map(|_| stream_once(&logs, 2, Some((ckpt_path, every))))
-            .fold((0.0f64, 0u64), |acc, r| (acc.0.max(r.0), acc.1.max(r.1)));
+    for (every, (best, written)) in cadences.into_iter().zip(best) {
         let overhead = 1.0 - best / no_ckpt;
         println!(
             "ckpt every {every:>6}: {best:>10.0} lines/s ({written} checkpoints, \
@@ -185,5 +216,24 @@ fn main() {
     match std::fs::write(path, text) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("cannot write {path}: {e}"),
+    }
+    if let Some(committed) = baseline {
+        let measured = out.checkpoint[0].overhead_vs_no_ckpt;
+        let ceiling = (2.0 * committed).max(OVERHEAD_RESOLUTION);
+        if measured > ceiling {
+            eprintln!(
+                "REGRESSION: checkpointing every 50000 lines costs {:.1}%, above {:.1}% \
+                 (committed: {:.1}%)",
+                measured * 100.0,
+                ceiling * 100.0,
+                committed * 100.0
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "checkpoint gate  : ok ({:.1}% <= {:.1}%)",
+            measured * 100.0,
+            ceiling * 100.0
+        );
     }
 }

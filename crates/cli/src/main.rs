@@ -10,6 +10,7 @@
 //! logdiver stream    --logs DIR [--chunk N] [--follow] [--shards N]
 //!                    [--lateness SECS] [--checkpoint FILE] [--resume FILE]
 //!                    [--checkpoint-every N] [--checkpoint-secs N]
+//! logdiver stream    --inspect-checkpoint FILE [--json]
 //!                    [--quarantine-out FILE] [--quarantine-keep N]
 //! logdiver reproduce [--divisor N] [--days N] [--seed N] [--boost-capability]
 //! logdiver swf       --out FILE [--divisor N] [--days N] [--seed N]
@@ -51,7 +52,7 @@ use logdiver::{report, LogCollection, LogDiver};
 use rand::SeedableRng;
 
 fn usage() -> &'static str {
-    "usage:\n  logdiver simulate  --out DIR [--divisor N] [--days N] [--seed N]\n  logdiver analyze   --logs DIR [--csv DIR] [--threads N] [--timings]\n                     [--quarantine-out FILE]\n  logdiver validate  --logs DIR [--json] [--min-precision X] [--min-recall X]\n  logdiver campaign  --out DIR [--divisor N] [--days N] [--seed N] [--seeds N]\n                     [--severities LIST] [--gate-f1 X]\n  logdiver stream    --logs DIR [--chunk N] [--follow] [--shards N]\n                     [--lateness SECS] [--checkpoint FILE] [--resume FILE]\n                     [--checkpoint-every N] [--checkpoint-secs N]\n                     [--quarantine-out FILE] [--quarantine-keep N]\n  logdiver reproduce [--divisor N] [--days N] [--seed N] [--boost-capability]\n  logdiver swf       --out FILE [--divisor N] [--days N] [--seed N]\n  logdiver lint      [--json] [--deny warnings] [--root DIR] [--rules]\n  logdiver serve     [--listen ADDR] [--tenants-dir DIR]... [--checkpoint-every N]\n                     [--evict-after N] [--mem-budget BYTES] [--shards N]\n                     [--tenant-config FILE] [--max-line BYTES] [--deadline-ms N]\n                     [--io-timeout-ms N] [--line-deadline-ms N]\n\noptions:\n  --divisor N   machine scale divisor (1 = full Blue Waters; default 16)\n  --days N      production days to simulate (default 30; the paper is 518)\n  --seed N      RNG seed (default 1)\n  --out DIR     output directory for raw logs\n  --logs DIR    directory holding messages.log / hwerr.log / apsys.log /\n                torque.log / netwatch.log\n  --csv DIR     also write scale-curve CSVs there\n  --threads N   worker threads for the parallel analyze stages (default: all\n                cores; output is identical for every N)\n  --timings     print a per-stage wall-clock breakdown to stderr\n  --json        print validation results as JSON instead of text\n  --min-precision X  exit nonzero when attribution precision < X\n  --min-recall X     exit nonzero when attribution recall < X\n  --seeds N     campaign: number of consecutive seeds to sweep (default 2)\n  --severities LIST  campaign: comma-separated severity grid in [0,1]\n                (default 0,0.25,0.5,0.75,1)\n  --gate-f1 X   campaign: exit nonzero when the clean point's F1 < X\n  --chunk N     lines pushed per source per round when streaming (default 1024)\n  --follow      keep tailing the log files for appended lines; SIGINT writes\n                a final checkpoint and report, then exits cleanly\n  --shards N    parallel syslog parse workers (default 2)\n  --lateness SECS  allowed out-of-order lateness within a source (default 60)\n  --checkpoint FILE     write crash-safe checkpoints to FILE (atomic\n                temp+rename); resume later with --resume FILE\n  --resume FILE         restore engine state and file offsets from a\n                checkpoint; also the checkpoint target unless --checkpoint\n                says otherwise\n  --checkpoint-every N  checkpoint after N accepted lines (default 50000)\n  --checkpoint-secs N   also checkpoint every N seconds while lines flow\n                (default 5)\n  --quarantine-out FILE stream: append every quarantined (corrupt) raw line\n                to FILE; analyze: write `file@offset (reason): line`\n                provenance for every rejected line\n  --quarantine-keep N   recent corrupt lines kept in memory per source\n                (default 16)\n  --boost-capability  multiply capability-job frequency ×8 (dense sampling\n                of the full-scale buckets on small machines)\n  --deny warnings  lint: fail on warnings too, not just errors (CI mode)\n  --root DIR    lint: workspace root (default: walk up from the cwd)\n  --rules       lint: print the rule catalog and exit\n                lint exits 0 clean, 1 findings, 2 usage error, 3 when an\n                analyzer could not run (unreadable workspace, internal panic)\n  --listen ADDR serve: bind address (default 127.0.0.1:7044; port 0 picks an\n                ephemeral port, printed on startup)\n  --tenants-dir DIR     serve: checkpoint directory, one <tenant>.ckpt per\n                tenant (default ./tenants); repeat the flag to replicate\n                every checkpoint across several directories, and a restarted\n                daemon resumes each tenant from the newest valid replica\n  --evict-after N       serve: checkpoint and evict a tenant idle for N pump\n                sweeps; it is resurrected transparently on its next PUSH\n                (default 0 = never evict)\n  --tenant-config FILE  serve: per-tenant StreamConfig overrides, one\n                `<tenant> key=value ...` per line (keys: lateness,\n                quarantine-keep)\n  --mem-budget BYTES    serve: global open-state budget; per-tenant quota is\n                an eighth of it (default 268435456)\n  --max-line BYTES      serve: longest accepted protocol line; longer lines\n                answer ERR code=line-too-long (default 65536)\n  --deadline-ms N       serve: shed pushes with ERR code=overload when a pump\n                sweep exceeds N ms; 0 disables shedding (default 1000)\n  --io-timeout-ms N     serve: per-connection socket read/write timeout;\n                0 disables (default 5000)\n  --line-deadline-ms N  serve: evict a client whose partial line is older\n                than N ms (slowloris defense); 0 disables (default 10000)\n\nserve reuses --checkpoint-every (auto-checkpoint every N applied records,\ndefault 10000) and --shards (pump worker threads, default: CPU count)."
+    "usage:\n  logdiver simulate  --out DIR [--divisor N] [--days N] [--seed N]\n  logdiver analyze   --logs DIR [--csv DIR] [--threads N] [--timings]\n                     [--quarantine-out FILE]\n  logdiver validate  --logs DIR [--json] [--min-precision X] [--min-recall X]\n  logdiver campaign  --out DIR [--divisor N] [--days N] [--seed N] [--seeds N]\n                     [--severities LIST] [--gate-f1 X]\n  logdiver stream    --logs DIR [--chunk N] [--follow] [--shards N]\n                     [--lateness SECS] [--checkpoint FILE] [--resume FILE]\n                     [--checkpoint-every N] [--checkpoint-secs N]\n                     [--quarantine-out FILE] [--quarantine-keep N]\n  logdiver stream    --inspect-checkpoint FILE [--json]\n  logdiver reproduce [--divisor N] [--days N] [--seed N] [--boost-capability]\n  logdiver swf       --out FILE [--divisor N] [--days N] [--seed N]\n  logdiver lint      [--json] [--deny warnings] [--root DIR] [--rules]\n  logdiver serve     [--listen ADDR] [--tenants-dir DIR]... [--checkpoint-every N]\n                     [--evict-after N] [--mem-budget BYTES] [--shards N]\n                     [--tenant-config FILE] [--max-line BYTES] [--deadline-ms N]\n                     [--io-timeout-ms N] [--line-deadline-ms N]\n\noptions:\n  --divisor N   machine scale divisor (1 = full Blue Waters; default 16)\n  --days N      production days to simulate (default 30; the paper is 518)\n  --seed N      RNG seed (default 1)\n  --out DIR     output directory for raw logs\n  --logs DIR    directory holding messages.log / hwerr.log / apsys.log /\n                torque.log / netwatch.log\n  --csv DIR     also write scale-curve CSVs there\n  --threads N   worker threads for the parallel analyze stages (default: all\n                cores; output is identical for every N)\n  --timings     print a per-stage wall-clock breakdown to stderr\n  --json        print validation results as JSON instead of text\n  --min-precision X  exit nonzero when attribution precision < X\n  --min-recall X     exit nonzero when attribution recall < X\n  --seeds N     campaign: number of consecutive seeds to sweep (default 2)\n  --severities LIST  campaign: comma-separated severity grid in [0,1]\n                (default 0,0.25,0.5,0.75,1)\n  --gate-f1 X   campaign: exit nonzero when the clean point's F1 < X\n  --chunk N     lines pushed per source per round when streaming (default 1024)\n  --follow      keep tailing the log files for appended lines; SIGINT writes\n                a final checkpoint and report, then exits cleanly\n  --shards N    parallel syslog parse workers (default 2)\n  --lateness SECS  allowed out-of-order lateness within a source (default 60)\n  --checkpoint FILE     write crash-safe checkpoints to FILE (atomic\n                temp+rename); resume later with --resume FILE\n  --resume FILE         restore engine state and file offsets from a\n                checkpoint; also the checkpoint target unless --checkpoint\n                says otherwise\n  --checkpoint-every N  checkpoint after N accepted lines (default 50000)\n  --checkpoint-secs N   also checkpoint every N seconds while lines flow\n                (default 5)\n  --inspect-checkpoint FILE  stream: validate a checkpoint file (binary since\n                format version 4) and print its version, size, footer\n                verdict, lateness, per-source offsets and state counts;\n                with --json, the whole state as JSON instead\n  --quarantine-out FILE stream: append every quarantined (corrupt) raw line\n                to FILE; analyze: write `file@offset (reason): line`\n                provenance for every rejected line\n  --quarantine-keep N   recent corrupt lines kept in memory per source\n                (default 16)\n  --boost-capability  multiply capability-job frequency ×8 (dense sampling\n                of the full-scale buckets on small machines)\n  --deny warnings  lint: fail on warnings too, not just errors (CI mode)\n  --root DIR    lint: workspace root (default: walk up from the cwd)\n  --rules       lint: print the rule catalog and exit\n                lint exits 0 clean, 1 findings, 2 usage error, 3 when an\n                analyzer could not run (unreadable workspace, internal panic)\n  --listen ADDR serve: bind address (default 127.0.0.1:7044; port 0 picks an\n                ephemeral port, printed on startup)\n  --tenants-dir DIR     serve: checkpoint directory, one <tenant>.ckpt per\n                tenant (default ./tenants); repeat the flag to replicate\n                every checkpoint across several directories, and a restarted\n                daemon resumes each tenant from the newest valid replica\n  --evict-after N       serve: checkpoint and evict a tenant idle for N pump\n                sweeps; it is resurrected transparently on its next PUSH\n                (default 0 = never evict)\n  --tenant-config FILE  serve: per-tenant StreamConfig overrides, one\n                `<tenant> key=value ...` per line (keys: lateness,\n                quarantine-keep)\n  --mem-budget BYTES    serve: global open-state budget; per-tenant quota is\n                an eighth of it (default 268435456)\n  --max-line BYTES      serve: longest accepted protocol line; longer lines\n                answer ERR code=line-too-long (default 65536)\n  --deadline-ms N       serve: shed pushes with ERR code=overload when a pump\n                sweep exceeds N ms; 0 disables shedding (default 1000)\n  --io-timeout-ms N     serve: per-connection socket read/write timeout;\n                0 disables (default 5000)\n  --line-deadline-ms N  serve: evict a client whose partial line is older\n                than N ms (slowloris defense); 0 disables (default 10000)\n\nserve reuses --checkpoint-every (auto-checkpoint every N applied records,\ndefault 10000) and --shards (pump worker threads, default: CPU count)."
 }
 
 /// What one subcommand accepts: value-taking options and bare switches.
@@ -104,8 +105,9 @@ const COMMANDS: &[CommandSpec] = &[
             "resume",
             "quarantine-out",
             "quarantine-keep",
+            "inspect-checkpoint",
         ],
-        switches: &["follow"],
+        switches: &["follow", "json"],
     },
     CommandSpec {
         name: "reproduce",
@@ -460,6 +462,12 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     /// cannot hold the watermark forever).
     const STALL_AFTER: Duration = Duration::from_secs(30);
 
+    if let Some(path) = args.flags.get("inspect-checkpoint") {
+        return inspect_checkpoint(args, path);
+    }
+    if args.switches.iter().any(|s| s == "json") {
+        return Err("--json only applies to --inspect-checkpoint".to_string());
+    }
     let dir = args.flags.get("logs").ok_or("stream needs --logs DIR")?;
     let chunk = get_u64(args, "chunk", 1024)?.max(1) as usize;
     let shards = get_u64(args, "shards", 2)?.max(1) as usize;
@@ -721,6 +729,41 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         report::full_report(&analysis.metrics, &analysis.stats)
     );
     Ok(())
+}
+
+/// `stream --inspect-checkpoint FILE [--json]`: what `cat` was for while
+/// checkpoints were JSON. Validates the file exactly as `--resume` would
+/// and prints what it holds; a file that would not resume exits nonzero.
+fn inspect_checkpoint(args: &Args, path: &str) -> Result<(), String> {
+    use logdiver_stream::StreamCheckpoint;
+    let json = args.switches.iter().any(|s| s == "json");
+    if args.flags.len() > 1 || args.switches.len() > usize::from(json) {
+        return Err("--inspect-checkpoint takes no other option than --json".to_string());
+    }
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let parsed = StreamCheckpoint::from_bytes(&bytes);
+    if json {
+        let ckpt = parsed.map_err(|e| format!("{path}: {e}"))?;
+        println!("{}", ckpt.to_json());
+        return Ok(());
+    }
+    println!("file: {path}");
+    println!("bytes: {}", bytes.len());
+    match StreamCheckpoint::file_version(&bytes) {
+        Some(v) => println!("version: {v}"),
+        None => println!("version: unknown"),
+    }
+    match parsed {
+        Ok(ckpt) => {
+            println!("footer: ok (length and crc32 match)");
+            print!("{}", ckpt.summary());
+            Ok(())
+        }
+        Err(e) => {
+            println!("footer: {e}");
+            Err(format!("{path} would not resume"))
+        }
+    }
 }
 
 /// Takes a quiescent checkpoint with the feeder's durable offsets and
@@ -1035,6 +1078,28 @@ mod tests {
         assert_eq!(args.flags.get("checkpoint-every").unwrap(), "1000");
         assert_eq!(args.flags.get("quarantine-out").unwrap(), "bad.tsv");
         assert_eq!(get_u64(&args, "quarantine-keep", 16).unwrap(), 64);
+    }
+
+    #[test]
+    fn inspect_checkpoint_rejects_every_other_option() {
+        let only = parse_args(
+            spec("stream"),
+            &argv(&["--inspect-checkpoint", "s.ckpt", "--json"]),
+        )
+        .unwrap();
+        assert_eq!(only.flags.get("inspect-checkpoint").unwrap(), "s.ckpt");
+        for extra in [&["--logs", "d"][..], &["--follow"], &["--resume=x"]] {
+            let mut words = vec!["--inspect-checkpoint", "s.ckpt"];
+            words.extend_from_slice(extra);
+            let args = parse_args(spec("stream"), &argv(&words)).unwrap();
+            let err = cmd_stream(&args).unwrap_err();
+            assert!(err.contains("no other option"), "{err}");
+        }
+        let args = parse_args(spec("stream"), &argv(&["--logs", "d", "--json"])).unwrap();
+        let err = cmd_stream(&args).unwrap_err();
+        assert!(err.contains("--inspect-checkpoint"), "{err}");
+        let err = parse_args(spec("stream"), &argv(&["--inspect-checkpoint"])).unwrap_err();
+        assert!(err.contains("requires a value"), "{err}");
     }
 
     #[test]

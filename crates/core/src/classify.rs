@@ -45,6 +45,11 @@ pub enum AttributionConfidence {
     Degraded,
 }
 
+logdiver_types::codec_enum!(AttributionConfidence {
+    Full = 0,
+    Degraded = 1,
+});
+
 impl AttributionConfidence {
     /// True for [`AttributionConfidence::Degraded`].
     pub fn is_degraded(self) -> bool {
@@ -64,6 +69,13 @@ pub struct ClassifiedRun {
     /// Evidence qualifier for the verdict.
     pub confidence: AttributionConfidence,
 }
+
+logdiver_types::codec_struct!(ClassifiedRun {
+    run,
+    class,
+    matched_events,
+    confidence
+});
 
 fn cause_of(event: &ErrorEvent) -> FailureCause {
     FailureCause::from(event.dominant_category().subsystem())

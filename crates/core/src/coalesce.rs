@@ -12,6 +12,7 @@ use std::collections::HashMap;
 
 use bw_topology::location::NODES_PER_BLADE;
 use logdiver_types::category::ErrorScope;
+use logdiver_types::codec::{Decode, DecodeError, Encode, Reader};
 use logdiver_types::{ErrorCategory, NodeId, Severity, SimDuration, Timestamp};
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +38,17 @@ pub struct ErrorEvent {
     /// Member entries folded in.
     pub entry_count: u32,
 }
+
+logdiver_types::codec_struct!(ErrorEvent {
+    id,
+    start,
+    end,
+    categories,
+    severity,
+    nodes,
+    system_scope,
+    entry_count
+});
 
 impl ErrorEvent {
     /// True when any member category can kill an application by itself.
@@ -108,6 +120,30 @@ pub enum GroupKey {
     Launcher,
 }
 
+impl Encode for GroupKey {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            GroupKey::System => out.push(0),
+            GroupKey::Blade(blade) => {
+                out.push(1);
+                blade.encode(out);
+            }
+            GroupKey::Launcher => out.push(2),
+        }
+    }
+}
+
+impl Decode for GroupKey {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(GroupKey::System),
+            1 => Ok(GroupKey::Blade(u32::decode(r)?)),
+            2 => Ok(GroupKey::Launcher),
+            _ => Err(r.bad("unknown GroupKey tag")),
+        }
+    }
+}
+
 fn key_of(e: &FilteredEntry) -> GroupKey {
     if e.category == ErrorCategory::AlpsLaunchFailure {
         return GroupKey::Launcher;
@@ -159,6 +195,8 @@ struct SeenSlot {
     at: Timestamp,
     entries: Vec<FilteredEntry>,
 }
+
+logdiver_types::codec_struct!(SeenSlot { at, entries });
 
 impl Coalescer {
     /// Creates a coalescer with the given chaining gap.
@@ -320,6 +358,21 @@ pub struct CoalescerState {
     /// Exact duplicates collapsed so far.
     duplicates: u64,
 }
+
+impl CoalescerState {
+    /// Number of events still open.
+    pub fn open_len(&self) -> usize {
+        self.open.len()
+    }
+}
+
+logdiver_types::codec_struct!(CoalescerState {
+    open,
+    closed,
+    next_id,
+    seen,
+    duplicates
+});
 
 /// Coalesces time-sorted filtered entries with the given gap.
 ///

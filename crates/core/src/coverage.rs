@@ -178,6 +178,14 @@ struct SourceState {
     last: Option<Timestamp>,
 }
 
+logdiver_types::codec_struct!(CoverageState { sources });
+logdiver_types::codec_struct!(SourceState {
+    intervals,
+    records,
+    first,
+    last
+});
+
 /// Canonical slot order for the three entry sources.
 const ENTRY_SOURCES: [EntrySource; 3] = [
     EntrySource::Syslog,

@@ -42,6 +42,12 @@ pub enum EntrySource {
     Netwatch,
 }
 
+logdiver_types::codec_enum!(EntrySource {
+    Syslog = 0,
+    HwErr = 1,
+    Netwatch = 2,
+});
+
 /// One categorized error-log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FilteredEntry {
@@ -57,6 +63,14 @@ pub struct FilteredEntry {
     /// Originating source.
     pub source: EntrySource,
 }
+
+logdiver_types::codec_struct!(FilteredEntry {
+    timestamp,
+    category,
+    severity,
+    node,
+    source
+});
 
 /// A substring-conjunction pattern: matches when *all* fragments occur.
 #[derive(Debug, Clone)]
@@ -448,6 +462,12 @@ pub struct FilterStats {
     /// Structured records (hwerr + netwatch) kept.
     pub structured_kept: u64,
 }
+
+logdiver_types::codec_struct!(FilterStats {
+    syslog_examined,
+    syslog_kept,
+    structured_kept
+});
 
 impl FilterStats {
     /// Fraction of syslog discarded as noise.

@@ -41,6 +41,8 @@ pub struct ParseCounts {
     pub bad: u64,
 }
 
+logdiver_types::codec_struct!(ParseCounts { total, bad });
+
 impl ParseCounts {
     /// Lines successfully parsed.
     pub fn good(&self) -> u64 {

@@ -8,17 +8,36 @@
 //! placement contain nid X?* and *does it intersect this (small) node
 //! list?*
 
+use logdiver_types::codec::{Decode, DecodeError, Encode, Reader};
 use logdiver_types::{NodeId, NodeSet};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A set of nids stored as sorted, disjoint, inclusive ranges.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct RangeSet {
     runs: Vec<(u32, u32)>,
     len: u32,
 }
 
 impl RangeSet {
+    /// Builds from stored runs, counting `len` itself. `None` unless the
+    /// runs are sorted and disjoint — the order [`RangeSet::contains`]
+    /// binary-searches on — and hold fewer than 2^32 nids. Both
+    /// checkpoint readers come through here: what a file says about a
+    /// set is checked, not trusted.
+    fn from_runs(runs: Vec<(u32, u32)>) -> Option<Self> {
+        let mut len = 0u32;
+        let mut floor = 0u64;
+        for &(a, b) in &runs {
+            if a > b || u64::from(a) < floor {
+                return None;
+            }
+            floor = u64::from(b) + 1;
+            len = len.checked_add(b - a)?.checked_add(1)?;
+        }
+        Some(RangeSet { runs, len })
+    }
+
     /// Builds from a [`NodeSet`] (which yields maximal sorted runs).
     pub fn from_node_set(set: &NodeSet) -> Self {
         let runs: Vec<(u32, u32)> = set.ranges().map(|(a, b)| (a.value(), b.value())).collect();
@@ -72,6 +91,35 @@ impl RangeSet {
     /// The sorted runs themselves.
     pub fn runs(&self) -> &[(u32, u32)] {
         &self.runs
+    }
+}
+
+/// The JSON form carries `len` beside the runs; it must agree with them.
+impl Deserialize for RangeSet {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Stored {
+            runs: Vec<(u32, u32)>,
+            len: u32,
+        }
+        let stored = Stored::deserialize_value(v)?;
+        match RangeSet::from_runs(stored.runs) {
+            Some(set) if set.len == stored.len => Ok(set),
+            _ => Err(DeError::custom("node ranges out of order or miscounted")),
+        }
+    }
+}
+
+/// In the binary form only the runs travel.
+impl Encode for RangeSet {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.runs.encode(out);
+    }
+}
+
+impl Decode for RangeSet {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        RangeSet::from_runs(Decode::decode(r)?).ok_or_else(|| r.bad("node ranges out of order"))
     }
 }
 

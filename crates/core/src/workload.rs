@@ -10,6 +10,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use craylog::alps::AlpsRecord;
 use craylog::torque::{TorqueEventKind, TorqueRecord};
+use logdiver_types::codec::{Decode, DecodeError, Encode, Reader};
 use logdiver_types::{AppId, ExitStatus, JobId, NodeType, SimDuration, Timestamp, UserId};
 use serde::{Deserialize, Serialize};
 
@@ -25,6 +26,30 @@ pub enum Termination {
     LaunchFailed,
     /// Placed, but no termination record was found (censored/corrupt).
     Missing,
+}
+
+impl Encode for Termination {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Termination::Exited(status) => {
+                out.push(0);
+                status.encode(out);
+            }
+            Termination::LaunchFailed => out.push(1),
+            Termination::Missing => out.push(2),
+        }
+    }
+}
+
+impl Decode for Termination {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(Termination::Exited(ExitStatus::decode(r)?)),
+            1 => Ok(Termination::LaunchFailed),
+            2 => Ok(Termination::Missing),
+            _ => Err(r.bad("unknown Termination tag")),
+        }
+    }
 }
 
 /// One reconstructed application run.
@@ -50,6 +75,18 @@ pub struct AppRun {
     pub termination: Termination,
 }
 
+logdiver_types::codec_struct!(AppRun {
+    apid,
+    job,
+    user,
+    node_type,
+    width,
+    nodes,
+    start,
+    end,
+    termination
+});
+
 impl AppRun {
     /// Wall-clock runtime.
     pub fn runtime(&self) -> SimDuration {
@@ -73,6 +110,12 @@ pub struct JobInfo {
     pub exit_status: Option<i32>,
 }
 
+logdiver_types::codec_struct!(JobInfo {
+    walltime,
+    start,
+    exit_status
+});
+
 /// Accounting for the reconstruction stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct WorkloadStats {
@@ -89,6 +132,15 @@ pub struct WorkloadStats {
     /// Jobs with Torque context.
     pub jobs: u64,
 }
+
+logdiver_types::codec_struct!(WorkloadStats {
+    placed,
+    exited,
+    launch_failed,
+    orphan_terminations,
+    missing_terminations,
+    jobs
+});
 
 /// Incremental run reconstruction: ALPS and Torque records go in one at a
 /// time (per-source input order), finished runs come out as they become
@@ -297,6 +349,21 @@ pub struct ReconstructorState {
     /// Next placement sequence number.
     next_seq: u64,
 }
+
+impl ReconstructorState {
+    /// Number of runs still held (not yet classified).
+    pub fn open_len(&self) -> usize {
+        self.runs.len()
+    }
+}
+
+logdiver_types::codec_struct!(ReconstructorState {
+    runs,
+    index,
+    jobs,
+    stats,
+    next_seq
+});
 
 /// Reconstructs runs and job context from parsed logs.
 pub fn reconstruct(parsed: &ParsedLogs) -> (Vec<AppRun>, HashMap<u64, JobInfo>, WorkloadStats) {

@@ -331,6 +331,7 @@ struct ChaosFsState {
     down: BTreeSet<PathBuf>,
     rng: u64,
     faults: u64,
+    writes: u64,
 }
 
 impl ChaosFsState {
@@ -401,6 +402,7 @@ impl ChaosFs {
                 down: BTreeSet::new(),
                 rng: seed,
                 faults: 0,
+                writes: 0,
             })),
         }
     }
@@ -476,6 +478,11 @@ impl ChaosFs {
     pub fn faults_injected(&self) -> u64 {
         self.lock().faults
     }
+
+    /// How many [`Fs::write`] calls have been made, failed ones included.
+    pub fn writes(&self) -> u64 {
+        self.lock().writes
+    }
 }
 
 impl Fs for ChaosFs {
@@ -500,6 +507,7 @@ impl Fs for ChaosFs {
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let mut st = self.lock();
+        st.writes += 1;
         if st.is_down(path) {
             return Err(eio("replica down", path));
         }

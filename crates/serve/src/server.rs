@@ -823,14 +823,11 @@ impl ServeCore {
                 }
                 self.tenant_entry(name);
                 self.pump();
-                let ckpt = match self.tenants.get_mut(name) {
-                    Some(t) => t.checkpoint(),
-                    None => return unknown_tenant(name),
+                let (Some(tenant), Some(store)) = (self.tenants.get_mut(name), self.store.as_mut())
+                else {
+                    return unknown_tenant(name);
                 };
-                let Some(store) = self.store.as_mut() else {
-                    return format!("ERR code={}", codes::NO_CHECKPOINT_DIR);
-                };
-                let written = store.write_tenant(name, &ckpt);
+                let written = persist(store, tenant);
                 let total = store.replica_count();
                 let durability = store.durability().label();
                 if written == 0 {
@@ -908,9 +905,8 @@ impl ServeCore {
                 continue;
             };
             let cost = tenant.cost();
-            let ckpt = tenant.checkpoint();
             let written = match self.store.as_mut() {
-                Some(store) => store.write_tenant(&name, &ckpt),
+                Some(store) => persist(store, &mut tenant),
                 None => 0,
             };
             if written == 0 {
@@ -923,11 +919,12 @@ impl ServeCore {
         }
     }
 
-    /// Checkpoints every hot tenant to all writable replicas (draining
-    /// queues first). Returns how many tenants were persisted to at
-    /// least one replica; a sweep in which any tenant landed on zero
-    /// replicas counts one `checkpoint_errors`. Never blocks or fails
-    /// outright — replica trouble degrades durability instead.
+    /// Checkpoints every hot tenant whose stored copies are not already
+    /// current (see [`persist`]) to all writable replicas, draining
+    /// queues first. Returns how many tenants are persisted on at least
+    /// one replica; a sweep in which any tenant landed on zero replicas
+    /// counts one `checkpoint_errors`. Never blocks or fails outright —
+    /// replica trouble degrades durability instead.
     pub fn checkpoint_all(&mut self) -> usize {
         if self.store.is_none() {
             return 0;
@@ -949,9 +946,8 @@ impl ServeCore {
         };
         let mut persisted = 0;
         let mut failed = false;
-        for (name, tenant) in self.tenants.iter_mut() {
-            let ckpt = tenant.checkpoint();
-            if store.write_tenant(name, &ckpt) > 0 {
+        for tenant in self.tenants.values_mut() {
+            if persist(store, tenant) > 0 {
                 persisted += 1;
             } else {
                 failed = true;
@@ -1024,6 +1020,28 @@ impl ServeCore {
         let stream = stream_for(&self.config, &self.overrides, name, None);
         Tenant::new(name.to_string(), stream)
     }
+}
+
+/// Makes `tenant`'s applied state durable and returns how many replicas
+/// hold it. A tenant that applied nothing since a checkpoint of it landed
+/// on every replica is already there: capturing, encoding and rewriting
+/// it would produce the same bytes (when tenants are fed one after
+/// another, a finished one used to be rewritten at every later cadence). The
+/// shortcut needs every replica Healthy and no write to have failed since
+/// — after a failure anywhere, every tenant is rewritten as before until
+/// its checkpoint has landed on all replicas again, so a replica that
+/// comes back, even empty, is refilled with idle tenants too.
+fn persist(store: &mut CheckpointStore, tenant: &mut Tenant) -> usize {
+    let replicas = store.replica_count();
+    let current = (tenant.records_applied(), store.write_errors());
+    if tenant.persisted == Some(current) && store.durability() == Durability::Full {
+        return replicas;
+    }
+    let ckpt = tenant.checkpoint();
+    let written = store.write_tenant(&tenant.name, &ckpt);
+    // Landing everywhere means nothing failed, so `current` still holds.
+    tenant.persisted = (written == replicas).then_some(current);
+    written
 }
 
 fn unknown_tenant(name: &str) -> String {
@@ -1349,6 +1367,95 @@ mod tests {
         drop(core);
         let resumed = ServeCore::with_fs(replicated_config(&dirs), Arc::new(fs.clone())).unwrap();
         assert_eq!(resumed.tenant_names(), vec!["bw"]);
+    }
+
+    #[test]
+    fn sweeps_write_only_tenants_that_applied_something() {
+        const MORE: &str = "netwatch 0 2013-03-28 12:01:00 link c0-0c0s0n2 degraded";
+        let fs = ChaosFs::clean();
+        let dirs = chaos_dirs(2);
+        let logs = scenario();
+        let mut core = ServeCore::with_fs(replicated_config(&dirs), Arc::new(fs.clone())).unwrap();
+        push_lines(&mut core, "busy", &logs);
+        push_lines(&mut core, "idle", &logs);
+        assert_eq!(core.checkpoint_all(), 2);
+        let after_first = fs.writes();
+        assert_eq!(after_first, 4, "two tenants x two replicas");
+
+        // Nothing applied since: both count as persisted, nothing written.
+        assert_eq!(core.checkpoint_all(), 2);
+        assert_eq!(
+            core.handle_line("CHECKPOINT"),
+            "OK tenants=2 durability=full"
+        );
+        assert_eq!(
+            core.handle_line("CHECKPOINT idle"),
+            "OK replicas=2/2 durability=full"
+        );
+        assert_eq!(fs.writes(), after_first, "idle tenants were rewritten");
+
+        // One more record on one tenant: only that tenant is rewritten.
+        assert_eq!(core.handle_line(&format!("PUSH busy {MORE}")), "OK");
+        assert_eq!(core.checkpoint_all(), 2);
+        assert_eq!(fs.writes(), after_first + 2);
+        let idle_copy = fs.contents(&dirs[0].join("idle.ckpt")).unwrap();
+
+        // A replica goes dark: `busy` fails to land there, and from then
+        // on every tenant is rewritten each sweep, as before this shortcut.
+        fs.set_down(&dirs[1], true);
+        assert_eq!(
+            core.handle_line(&format!("PUSH busy {}", MORE.replacen('0', "1", 1))),
+            "OK"
+        );
+        assert_eq!(core.checkpoint_all(), 2);
+        assert_eq!(core.durability(), Durability::Degraded);
+        let while_down = fs.writes();
+        assert_eq!(core.checkpoint_all(), 2);
+        assert!(
+            fs.writes() >= while_down + 2,
+            "both tenants rewritten on the survivor"
+        );
+
+        // It comes back empty: once its backoff lapses a sweep refills it
+        // with *both* tenants, the idle one included, and only then do
+        // sweeps go quiet again.
+        fs.set_down(&dirs[1], false);
+        fs.remove_tree(&dirs[1]);
+        for _ in 0..600 {
+            core.pump(); // one tick of the store's backoff clock
+            assert_eq!(core.checkpoint_all(), 2);
+            if core.durability() == Durability::Full {
+                break;
+            }
+        }
+        assert_eq!(core.durability(), Durability::Full);
+        assert_eq!(fs.contents(&dirs[1].join("idle.ckpt")), Some(idle_copy));
+        let healed = fs.writes();
+        assert_eq!(core.checkpoint_all(), 2);
+        assert_eq!(fs.writes(), healed);
+    }
+
+    #[test]
+    fn clean_idle_tenant_evicts_without_another_write() {
+        let fs = ChaosFs::clean();
+        let dirs = chaos_dirs(2);
+        let config = ServeConfig {
+            evict_after: 2,
+            ..replicated_config(&dirs)
+        };
+        let mut core = ServeCore::with_fs(config, Arc::new(fs.clone())).unwrap();
+        push_lines(&mut core, "bw", &scenario());
+        assert_eq!(core.checkpoint_all(), 1);
+        let written = fs.writes();
+        for _ in 0..4 {
+            core.pump();
+        }
+        assert_eq!(core.evicted_names(), vec!["bw"]);
+        assert_eq!(fs.writes(), written, "the stored copy was already current");
+        assert_eq!(
+            core.handle_line("HELLO bw"),
+            "OK tenant=bw accepted=2,2,2,1,0"
+        );
     }
 
     #[test]

@@ -539,6 +539,46 @@ mod tests {
         cleanup(&dirs);
     }
 
+    /// Mid-way through a rolling restart one replica still holds
+    /// yesterday's version-3 file and the other a newer version-4 one:
+    /// both are valid, recency decides, nothing is moved aside.
+    #[test]
+    fn mixed_version_replicas_restore_the_newer_v4_copy() {
+        let v3 = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../stream/tests/fixtures/v3_small.ckpt"
+        );
+        let old = StreamCheckpoint::read(Path::new(v3)).expect("v3 fixture reads");
+        let lateness = logdiver_types::SimDuration::from_secs(old.lateness_secs);
+        let config = StreamConfig::default().with_lateness(lateness);
+        let mut engine = InlineEngine::resume(config, &old).expect("v3 fixture resumes");
+        engine
+            .push(Source::Syslog, "2013-03-27 03:00:00 nid00002 ntpd: tick")
+            .unwrap();
+        let offsets = engine.pushed_all();
+        let newer = engine.checkpoint(offsets);
+        assert_eq!(newer.records_applied(), old.records_applied() + 1);
+
+        let (mut store, dirs) = temp_store("mixed", 2);
+        std::fs::copy(v3, ckpt_path(&dirs[0], "t")).unwrap();
+        newer.write_atomic(&ckpt_path(&dirs[1], "t")).unwrap();
+        let on_disk = |dir: &PathBuf| {
+            StreamCheckpoint::file_version(&std::fs::read(ckpt_path(dir, "t")).unwrap())
+        };
+        assert_eq!((on_disk(&dirs[0]), on_disk(&dirs[1])), (Some(3), Some(4)));
+
+        let mut warnings = Vec::new();
+        let got = store.read_newest("t", &mut warnings).unwrap();
+        assert_eq!(got, newer);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(store.corrupt_preserved(), 0);
+        // The next sweep brings the stale replica up to version 4.
+        store.begin_sweep();
+        assert_eq!(store.write_tenant("t", &got), 2);
+        assert_eq!((on_disk(&dirs[0]), on_disk(&dirs[1])), (Some(4), Some(4)));
+        cleanup(&dirs);
+    }
+
     #[test]
     fn corrupt_replica_is_skipped_and_preserved() {
         let (mut store, dirs) = temp_store("corrupt", 2);

@@ -59,6 +59,12 @@ pub struct Tenant {
     /// and evicts the tenant to its checkpoint once it exceeds
     /// `evict_after`.
     pub idle_pumps: u64,
+    /// [`Tenant::records_applied`] and the store's write-error count as
+    /// of the last checkpoint that landed on *every* configured replica.
+    /// While both still match, the stored copies are current and a sweep
+    /// has nothing to write. A resumed tenant starts at `None`: it was
+    /// read from the newest replica, the others may be behind.
+    pub persisted: Option<(u64, u64)>,
 }
 
 impl Tenant {
@@ -94,6 +100,7 @@ impl Tenant {
             dups: 0,
             gaps: 0,
             idle_pumps: 0,
+            persisted: None,
         }
     }
 
@@ -106,6 +113,13 @@ impl Tenant {
     /// The applied (durable) cursor, in [`Source::ALL`] order.
     pub fn applied(&self) -> [u64; 5] {
         self.engine.pushed_all()
+    }
+
+    /// Total lines applied across all sources — the value
+    /// [`StreamCheckpoint::records_applied`] would report for a
+    /// checkpoint taken now.
+    pub fn records_applied(&self) -> u64 {
+        self.applied().iter().sum()
     }
 
     /// Lines queued but not yet applied.

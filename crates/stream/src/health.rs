@@ -55,6 +55,13 @@ pub enum SourceHealth {
     HalfOpen,
 }
 
+logdiver_types::codec_enum!(SourceHealth {
+    Healthy = 0,
+    Degraded = 1,
+    Open = 2,
+    HalfOpen = 3,
+});
+
 impl SourceHealth {
     /// Short fixed-width label for progress lines (`ok`, `deg`, `OPEN`,
     /// `half`).
@@ -160,6 +167,16 @@ pub(crate) struct HealthState {
     /// the engine only records the verdict).
     pub(crate) stalled: bool,
 }
+
+logdiver_types::codec_struct!(HealthState {
+    state,
+    consecutive_bad,
+    consecutive_good,
+    open_attempts,
+    probe_remaining,
+    rejected_while_open,
+    stalled
+});
 
 impl Default for HealthState {
     fn default() -> Self {

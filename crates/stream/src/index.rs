@@ -75,7 +75,9 @@ impl StreamIndex {
     }
 
     /// The events in `(start, id)` order — the order
-    /// [`logdiver::pipeline::Analysis::events`] uses.
+    /// [`logdiver::pipeline::Analysis::events`] uses, and the order
+    /// checkpoints carry them in: which spatial group closed first depends
+    /// on where the watermark happened to stop, the sorted view does not.
     pub fn events_in_order(&self) -> Vec<ErrorEvent> {
         self.order
             .iter()
@@ -83,16 +85,10 @@ impl StreamIndex {
             .collect()
     }
 
-    /// The events in insertion order. [`StreamIndex::from_events`] on this
-    /// vector rebuilds an identical index — the checkpoint round trip.
-    pub fn events_in_insertion_order(&self) -> Vec<ErrorEvent> {
-        self.events.clone()
-    }
-
-    /// Rebuilds an index by inserting `events` in order. Inverse of
-    /// [`StreamIndex::events_in_insertion_order`]: every derived structure
-    /// (sorted view, id map, max span, lethal count) is a deterministic
-    /// function of the insertion sequence.
+    /// Rebuilds an index by inserting `events` in order — the checkpoint
+    /// round trip. Whatever that order, the rebuilt index answers every
+    /// query as the original does: lookups go through the sorted view and
+    /// the id map, never through insertion positions.
     pub fn from_events(events: Vec<ErrorEvent>) -> Self {
         let mut index = StreamIndex::new();
         for event in events {

@@ -506,16 +506,16 @@ impl StreamCore {
                 .map(|q| q.iter().cloned().collect())
                 .collect(),
             filter_stats: self.filter_stats,
-            buffer: self
-                .buffer
-                .iter()
-                .map(|(&(_, _, _, seq), entry)| (seq, *entry))
-                .collect(),
-            entry_seq: self.entry_seq,
+            // Arrival numbers only break ties inside one (timestamp,
+            // node, source) key, so their order is state and their values
+            // are not: those depend on how the sources interleaved.
+            // Renumbering in key order keeps equal state equal bytes.
+            buffer: (0..).zip(self.buffer.values().copied()).collect(),
+            entry_seq: self.buffer.len() as u64,
             late_dropped: self.late_dropped,
             released: self.released,
             coalescer: self.coalescer.state(),
-            events: self.index.events_in_insertion_order(),
+            events: self.index.events_in_order(),
             reconstructor: self.reconstructor.state(),
             done: self
                 .done

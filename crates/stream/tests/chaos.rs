@@ -187,9 +187,9 @@ fn run_chaos_case(seed: u64, cycles: u64, kill_at: u64, ckpt_every: u64) {
 
         if i % ckpt_every == ckpt_every - 1 {
             let ckpt = engine.checkpoint(harness.offsets());
-            // Exercise the wire format, not just the in-memory struct.
-            let json = ckpt.to_json();
-            let ckpt = StreamCheckpoint::from_json(&json).expect("round trip");
+            // Exercise the shipped wire format, not just the in-memory
+            // struct.
+            let ckpt = StreamCheckpoint::from_bytes(&ckpt.to_bytes()).expect("round trip");
             ckpt_lines = std::array::from_fn(|s| harness.consumed[s].len());
             checkpoint = Some(ckpt);
         }

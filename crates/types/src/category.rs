@@ -109,6 +109,14 @@ impl Severity {
     }
 }
 
+crate::codec_enum!(Severity {
+    Info = 0,
+    Warning = 1,
+    Error = 2,
+    Critical = 3,
+    Fatal = 4,
+});
+
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
@@ -170,6 +178,28 @@ pub enum ErrorCategory {
     /// Warm-swap / maintenance notice for a blade.
     MaintenanceNotice,
 }
+
+crate::codec_enum!(ErrorCategory {
+    MachineCheckException = 0,
+    MemoryCorrectable = 1,
+    MemoryUncorrectable = 2,
+    GeminiLinkFailure = 3,
+    GeminiLaneDegrade = 4,
+    GeminiRouteReconfig = 5,
+    NodeHeartbeatFault = 6,
+    BladeControllerFailure = 7,
+    VoltageFault = 8,
+    KernelPanic = 9,
+    NodeHang = 10,
+    LustreOstFailure = 11,
+    LustreMdsFailover = 12,
+    LustreClientEviction = 13,
+    GpuDoubleBitError = 14,
+    GpuBusError = 15,
+    GpuPageRetirement = 16,
+    AlpsLaunchFailure = 17,
+    MaintenanceNotice = 18,
+});
 
 impl ErrorCategory {
     /// All categories, in a stable report order.

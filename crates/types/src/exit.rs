@@ -11,6 +11,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::category::Subsystem;
+use crate::codec::{Decode, DecodeError, Encode, Reader};
 
 /// Raw termination record of an application run, as the launcher sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -23,6 +24,12 @@ pub struct ExitStatus {
     /// application's nodes (Cray's "node failed" claim in `apsys` records).
     pub node_failed: bool,
 }
+
+crate::codec_struct!(ExitStatus {
+    code,
+    signal,
+    node_failed
+});
 
 impl ExitStatus {
     /// A clean, successful exit.
@@ -99,6 +106,17 @@ pub enum FailureCause {
     Undetermined,
 }
 
+crate::codec_enum!(FailureCause {
+    Interconnect = 0,
+    Filesystem = 1,
+    NodeHardware = 2,
+    Memory = 3,
+    Gpu = 4,
+    SystemSoftware = 5,
+    Launcher = 6,
+    Undetermined = 7,
+});
+
 impl FailureCause {
     /// All causes in report order.
     pub const ALL: [FailureCause; 8] = [
@@ -163,6 +181,14 @@ pub enum UserFailureKind {
     Cancelled,
 }
 
+crate::codec_enum!(UserFailureKind {
+    Segfault = 0,
+    Abort = 1,
+    OutOfMemory = 2,
+    NonzeroExit = 3,
+    Cancelled = 4,
+});
+
 impl UserFailureKind {
     /// All kinds in report order.
     pub const ALL: [UserFailureKind; 5] = [
@@ -204,6 +230,37 @@ pub enum ExitClass {
     WalltimeExceeded,
     /// The records are insufficient to classify the run.
     Unknown,
+}
+
+impl Encode for ExitClass {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            ExitClass::Success => out.push(0),
+            ExitClass::SystemFailure(cause) => {
+                out.push(1);
+                cause.encode(out);
+            }
+            ExitClass::UserFailure(kind) => {
+                out.push(2);
+                kind.encode(out);
+            }
+            ExitClass::WalltimeExceeded => out.push(3),
+            ExitClass::Unknown => out.push(4),
+        }
+    }
+}
+
+impl Decode for ExitClass {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(ExitClass::Success),
+            1 => Ok(ExitClass::SystemFailure(FailureCause::decode(r)?)),
+            2 => Ok(ExitClass::UserFailure(UserFailureKind::decode(r)?)),
+            3 => Ok(ExitClass::WalltimeExceeded),
+            4 => Ok(ExitClass::Unknown),
+            _ => Err(r.bad("unknown ExitClass tag")),
+        }
+    }
 }
 
 impl ExitClass {

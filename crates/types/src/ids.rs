@@ -23,6 +23,8 @@ use serde::{Deserialize, Serialize};
 )]
 pub struct NodeId(u32);
 
+crate::codec_struct!(NodeId { 0 });
+
 impl NodeId {
     /// Creates a node id from a raw nid number.
     pub const fn new(nid: u32) -> Self {
@@ -93,6 +95,8 @@ impl From<NodeId> for u32 {
 )]
 pub struct JobId(u64);
 
+crate::codec_struct!(JobId { 0 });
+
 impl JobId {
     /// Creates a job id.
     pub const fn new(id: u64) -> Self {
@@ -127,6 +131,8 @@ impl From<u64> for JobId {
 )]
 pub struct AppId(u64);
 
+crate::codec_struct!(AppId { 0 });
+
 impl AppId {
     /// Creates an application id.
     pub const fn new(id: u64) -> Self {
@@ -159,6 +165,8 @@ impl From<u64> for AppId {
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct UserId(u32);
+
+crate::codec_struct!(UserId { 0 });
 
 impl UserId {
     /// Creates a user id.

@@ -32,6 +32,8 @@ use std::sync::{Mutex, OnceLock, RwLock};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
+use crate::codec::{Decode, DecodeError, Encode, Reader};
+
 /// Number of lock shards in the intern map. Power of two; enough that 8
 /// parse workers rarely collide on a shard.
 const SHARDS: usize = 32;
@@ -111,6 +113,21 @@ impl Sym {
     /// assigned in first-intern order, so they must never be persisted.
     pub fn id(self) -> u32 {
         self.0
+    }
+}
+
+/// A `Sym` travels as its string: handles are process-local (see
+/// [`Sym::id`]), so the decoder re-interns.
+impl Encode for Sym {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_str().encode(out);
+    }
+}
+
+impl Decode for Sym {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let len = r.len_prefix()?;
+        Sym::resolve_bytes(r.bytes(len)?).ok_or_else(|| r.bad("string is not UTF-8"))
     }
 }
 

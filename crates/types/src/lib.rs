@@ -22,6 +22,9 @@
 //!   classification ([`ExitClass`], [`FailureCause`], [`UserFailureKind`]).
 //! - [`nodeset`] — [`NodeSet`], a compact bitmap over node ids used for the
 //!   spatial joins at the heart of LogDiver.
+//! - [`codec`] — the canonical binary encoding ([`codec::Encode`] /
+//!   [`codec::Decode`]) checkpoints are written in, implemented beside each
+//!   type that a checkpoint can reach.
 //! - [`intern`] — [`Sym`], a global string interner for hot repeated log
 //!   fields (hostnames, tags, commands, queues).
 //! - [`fsio`] — the narrow [`fsio::Fs`] filesystem seam behind every
@@ -69,6 +72,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod category;
+pub mod codec;
 pub mod error;
 pub mod exit;
 pub mod fsio;

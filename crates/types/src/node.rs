@@ -25,6 +25,12 @@ pub enum NodeType {
     Service,
 }
 
+crate::codec_enum!(NodeType {
+    Xe = 0,
+    Xk = 1,
+    Service = 2,
+});
+
 impl NodeType {
     /// All node types, in declaration order.
     pub const ALL: [NodeType; 3] = [NodeType::Xe, NodeType::Xk, NodeType::Service];

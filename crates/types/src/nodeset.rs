@@ -11,6 +11,7 @@ use std::iter::FromIterator;
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{put_varint, Decode, DecodeError, Encode, Reader};
 use crate::ids::NodeId;
 
 const WORD_BITS: usize = 64;
@@ -202,6 +203,35 @@ impl NodeSet {
 
     fn recount(&mut self) {
         self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
+    }
+}
+
+/// The bitmap travels as a word count and the words, 8 bytes each,
+/// little-endian; the cached population count is not written but recounted
+/// on decode, so no file can make it disagree with the bits.
+impl Encode for NodeSet {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.words.len() as u64);
+        for w in &self.words {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+}
+
+impl Decode for NodeSet {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let count = r.len_prefix()?;
+        let Some(len) = count.checked_mul(8) else {
+            return Err(r.bad("length exceeds input"));
+        };
+        let words = r
+            .bytes(len)?
+            .chunks_exact(8)
+            .map(|c| c.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b)))
+            .collect();
+        let mut set = NodeSet { words, len: 0 };
+        set.recount();
+        Ok(set)
     }
 }
 

@@ -42,6 +42,9 @@ pub struct Timestamp(i64);
 )]
 pub struct SimDuration(i64);
 
+crate::codec_struct!(Timestamp { 0 });
+crate::codec_struct!(SimDuration { 0 });
+
 /// Days from civil date, proleptic Gregorian calendar.
 ///
 /// Returns the number of days since 1970-01-01. Valid for the whole i32 year
