@@ -7,7 +7,10 @@
 //! overhead) for tracking, and exits nonzero when the 50 k-cadence
 //! checkpoint overhead is more than twice what the `BENCH_stream.json` it
 //! found on startup (the committed one, in CI) records — or more than
-//! [`OVERHEAD_RESOLUTION`], when twice the committed value is less.
+//! [`OVERHEAD_RESOLUTION`], when twice the committed value is less — or
+//! when, on a host with at least two CPUs, two syslog shards run below
+//! one: the shard fan-out is the one concurrency option the engine keeps,
+//! and it stays only while it pays.
 
 use std::time::Instant;
 
@@ -216,6 +219,20 @@ fn main() {
     match std::fs::write(path, text) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("cannot write {path}: {e}"),
+    }
+    let shape = out.stream[1].lines_per_sec / out.stream[0].lines_per_sec;
+    let host_cpus = logdiver::exec::default_threads();
+    if shape >= 1.0 {
+        println!("shape gate       : ok (2 shards at {shape:.2}x of 1)");
+    } else if host_cpus < 2 {
+        // Two workers on one core can only take turns.
+        println!(
+            "shape gate       : WARNING 2 shards at {shape:.2}x of 1, but host has 1 cpu — \
+             not failing"
+        );
+    } else {
+        eprintln!("REGRESSION: 2 syslog shards at {shape:.2}x of 1 shard on {host_cpus} cpus");
+        std::process::exit(1);
     }
     if let Some(committed) = baseline {
         let measured = out.checkpoint[0].overhead_vs_no_ckpt;

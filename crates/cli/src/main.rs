@@ -119,40 +119,11 @@ const COMMANDS: &[CommandSpec] = &[
         flags: &["out", "divisor", "days", "seed"],
         switches: &["boost-capability"],
     },
-    CommandSpec {
-        name: "lint",
-        flags: &["deny", "root"],
-        switches: &["json", "rules"],
-    },
-    CommandSpec {
-        name: "serve",
-        flags: &[
-            "listen",
-            "tenants-dir",
-            "checkpoint-every",
-            "evict-after",
-            "mem-budget",
-            "shards",
-            "tenant-config",
-            "max-line",
-            "deadline-ms",
-            "io-timeout-ms",
-            "line-deadline-ms",
-        ],
-        switches: &[],
-    },
 ];
-
-/// Flags that may be given more than once; every occurrence is kept, in
-/// order, in `Args::multi`. `serve --tenants-dir A --tenants-dir B` is
-/// how checkpoint replicas are declared.
-const REPEATABLE: &[&str] = &["tenants-dir"];
 
 #[derive(Debug, Default)]
 struct Args {
     flags: HashMap<String, String>,
-    /// Values of `REPEATABLE` flags, in command-line order.
-    multi: HashMap<String, Vec<String>>,
     switches: Vec<String>,
 }
 
@@ -176,9 +147,7 @@ fn parse_args(spec: &CommandSpec, argv: &[String]) -> Result<Args, String> {
                     .cloned()
                     .ok_or_else(|| format!("option --{name} requires a value"))?,
             };
-            if REPEATABLE.contains(&name) {
-                args.multi.entry(name.to_string()).or_default().push(value);
-            } else if args.flags.insert(name.to_string(), value).is_some() {
+            if args.flags.insert(name.to_string(), value).is_some() {
                 return Err(format!("option --{name} given more than once"));
             }
         } else if spec.switches.contains(&name) {
@@ -866,82 +835,6 @@ fn cmd_swf(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    use logdiver_serve::daemon;
-    let mut config = daemon::DaemonConfig::default();
-    if let Some(listen) = args.flags.get("listen") {
-        config.listen = listen.clone();
-    }
-    if let Some(dirs) = args.multi.get("tenants-dir") {
-        config.tenants_dirs = dirs.iter().map(std::path::PathBuf::from).collect();
-    }
-    if let Some(path) = args.flags.get("tenant-config") {
-        config.tenant_config = Some(std::path::PathBuf::from(path));
-    }
-    config.checkpoint_every = get_u64(args, "checkpoint-every", config.checkpoint_every)?;
-    config.evict_after = get_u64(args, "evict-after", config.evict_after)?;
-    config.mem_budget = get_u64(args, "mem-budget", config.mem_budget as u64)? as usize;
-    let shards = get_u64(args, "shards", config.shards as u64)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
-    }
-    config.shards = shards as usize;
-    let max_line = get_u64(args, "max-line", config.max_line as u64)?;
-    if max_line == 0 {
-        return Err("--max-line must be at least 1".to_string());
-    }
-    config.max_line = max_line as usize;
-    config.deadline_ms = get_u64(args, "deadline-ms", config.deadline_ms)?;
-    config.io_timeout_ms = get_u64(args, "io-timeout-ms", config.io_timeout_ms)?;
-    config.line_deadline_ms = get_u64(args, "line-deadline-ms", config.line_deadline_ms)?;
-    daemon::run(config).map_err(|e| format!("serve: {e}"))
-}
-
-/// Why `lint` failed — findings exit 1 like every other command failure,
-/// while an analyzer that could not run at all exits 3 so CI can tell
-/// "the tree is dirty" from "the verdict is meaningless".
-enum LintFailure {
-    Findings(String),
-    Internal(String),
-}
-
-fn cmd_lint(args: &Args) -> Result<(), LintFailure> {
-    use logdiver_lint::{driver, report as lint_report};
-    if args.switches.iter().any(|s| s == "rules") {
-        print!("{}", driver::rule_catalog());
-        return Ok(());
-    }
-    let deny_warnings = match args.flags.get("deny").map(String::as_str) {
-        None => false,
-        Some("warnings") => true,
-        Some(other) => {
-            return Err(LintFailure::Internal(format!(
-                "--deny takes `warnings`, got {other:?}"
-            )))
-        }
-    };
-    let root = args.flags.get("root").map(std::path::PathBuf::from);
-    let report = driver::run_analyzers(root).map_err(LintFailure::Internal)?;
-    if args.switches.iter().any(|s| s == "json") {
-        println!("{}", lint_report::render_json(&report));
-    } else {
-        print!("{}", lint_report::render_text(&report));
-    }
-    if report.failed(deny_warnings) {
-        return Err(LintFailure::Findings(format!(
-            "lint failed: {} error(s), {} warning(s){}",
-            report.errors(),
-            report.warnings(),
-            if deny_warnings {
-                " (warnings denied)"
-            } else {
-                ""
-            }
-        )));
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
@@ -951,6 +844,13 @@ fn main() -> ExitCode {
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
         println!("{}", usage());
         return ExitCode::SUCCESS;
+    }
+    // `lint` and `serve` are the standalone `logdiver-lint` and
+    // `logdiver-serve` under another name: same parser, same exit codes.
+    match cmd.as_str() {
+        "lint" => return ExitCode::from(logdiver_lint::driver::run(rest)),
+        "serve" => return ExitCode::from(logdiver_serve::daemon::run_cli(rest)),
+        _ => {}
     }
     let Some(spec) = COMMANDS.iter().find(|s| s.name == cmd.as_str()) else {
         eprintln!("error: unknown command {cmd:?}\n\n{}", usage());
@@ -971,20 +871,6 @@ fn main() -> ExitCode {
         "stream" => cmd_stream(&args),
         "reproduce" => cmd_reproduce(&args),
         "swf" => cmd_swf(&args),
-        "lint" => {
-            return match cmd_lint(&args) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(LintFailure::Findings(e)) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-                Err(LintFailure::Internal(e)) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(3)
-                }
-            }
-        }
-        "serve" => cmd_serve(&args),
         _ => unreachable!("dispatch covers every CommandSpec"),
     };
     match result {
@@ -1129,74 +1015,72 @@ mod tests {
 
     #[test]
     fn serve_flags_parse() {
-        let args = parse_args(
-            spec("serve"),
-            &argv(&[
-                "--listen",
-                "127.0.0.1:0",
-                "--tenants-dir=/tmp/tenants",
-                "--tenants-dir",
-                "/mnt/replica",
-                "--checkpoint-every",
-                "500",
-                "--evict-after=32",
-                "--mem-budget=1048576",
-                "--shards",
-                "4",
-                "--tenant-config",
-                "/tmp/overrides.conf",
-                "--max-line=4096",
-                "--deadline-ms=250",
-                "--io-timeout-ms=900",
-                "--line-deadline-ms=3000",
-            ]),
-        )
+        let config = logdiver_serve::daemon::parse_flags(&argv(&[
+            "--listen",
+            "127.0.0.1:0",
+            "--tenants-dir=/tmp/tenants",
+            "--tenants-dir",
+            "/mnt/replica",
+            "--checkpoint-every",
+            "500",
+            "--evict-after=32",
+            "--mem-budget=1048576",
+            "--shards",
+            "4",
+            "--tenant-config",
+            "/tmp/overrides.conf",
+            "--max-line=4096",
+            "--deadline-ms=250",
+            "--io-timeout-ms=900",
+            "--line-deadline-ms=3000",
+        ]))
         .unwrap();
-        assert_eq!(args.flags.get("listen").unwrap(), "127.0.0.1:0");
+        assert_eq!(config.listen, "127.0.0.1:0");
         // --tenants-dir is repeatable: both replicas survive, in order.
         assert_eq!(
-            args.multi.get("tenants-dir").unwrap(),
-            &["/tmp/tenants".to_string(), "/mnt/replica".to_string()]
+            config.tenants_dirs,
+            [
+                std::path::PathBuf::from("/tmp/tenants"),
+                std::path::PathBuf::from("/mnt/replica")
+            ]
         );
-        assert_eq!(get_u64(&args, "checkpoint-every", 0).unwrap(), 500);
-        assert_eq!(get_u64(&args, "evict-after", 0).unwrap(), 32);
-        assert_eq!(get_u64(&args, "mem-budget", 0).unwrap(), 1 << 20);
-        assert_eq!(get_u64(&args, "shards", 0).unwrap(), 4);
+        assert_eq!(config.checkpoint_every, 500);
+        assert_eq!(config.evict_after, 32);
+        assert_eq!(config.mem_budget, 1 << 20);
+        assert_eq!(config.shards, 4);
         assert_eq!(
-            args.flags.get("tenant-config").unwrap(),
-            "/tmp/overrides.conf"
+            config.tenant_config,
+            Some(std::path::PathBuf::from("/tmp/overrides.conf"))
         );
-        assert_eq!(get_u64(&args, "max-line", 0).unwrap(), 4096);
-        assert_eq!(get_u64(&args, "deadline-ms", 0).unwrap(), 250);
-        assert_eq!(get_u64(&args, "io-timeout-ms", 0).unwrap(), 900);
-        assert_eq!(get_u64(&args, "line-deadline-ms", 0).unwrap(), 3000);
+        assert_eq!(config.max_line, 4096);
+        assert_eq!(config.deadline_ms, 250);
+        assert_eq!(config.io_timeout_ms, 900);
+        assert_eq!(config.line_deadline_ms, 3000);
     }
 
     #[test]
     fn serve_zero_max_line_is_rejected_at_dispatch() {
-        let args = parse_args(spec("serve"), &argv(&["--max-line", "0"])).unwrap();
-        let err = cmd_serve(&args).unwrap_err();
+        let err = logdiver_serve::daemon::parse_flags(&argv(&["--max-line", "0"])).unwrap_err();
         assert!(err.contains("--max-line"), "{err}");
     }
 
     #[test]
     fn serve_rejects_unknown_and_foreign_flags() {
-        let err = parse_args(spec("serve"), &argv(&["--port", "7044"])).unwrap_err();
-        assert!(err.contains("unknown option --port"), "{err}");
+        let parse = |words: &[&str]| logdiver_serve::daemon::parse_flags(&argv(words));
+        let err = parse(&["--port", "7044"]).unwrap_err();
+        assert!(err.contains("unknown option '--port'"), "{err}");
         // --logs belongs to analyze/stream; serve must refuse it.
-        let err = parse_args(spec("serve"), &argv(&["--logs", "d"])).unwrap_err();
-        assert!(err.contains("unknown option --logs"), "{err}");
-        let err = parse_args(spec("serve"), &argv(&["--listen"])).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
-        let err =
-            parse_args(spec("serve"), &argv(&["--shards", "2", "--shards", "4"])).unwrap_err();
-        assert!(err.contains("more than once"), "{err}");
+        let err = parse(&["--logs", "d"]).unwrap_err();
+        assert!(err.contains("unknown option '--logs'"), "{err}");
+        let err = parse(&["--listen"]).unwrap_err();
+        assert!(err.contains("needs a value"), "{err}");
+        let err = parse(&["--shards", "2", "--shards", "4"]).unwrap_err();
+        assert!(err.contains("duplicate option"), "{err}");
     }
 
     #[test]
     fn serve_zero_shards_is_rejected_at_dispatch() {
-        let args = parse_args(spec("serve"), &argv(&["--shards", "0"])).unwrap();
-        let err = cmd_serve(&args).unwrap_err();
-        assert!(err.contains("--shards must be at least 1"), "{err}");
+        let err = logdiver_serve::daemon::parse_flags(&argv(&["--shards", "0"])).unwrap_err();
+        assert!(err.contains("'--shards' must be at least 1"), "{err}");
     }
 }

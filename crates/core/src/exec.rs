@@ -1,34 +1,25 @@
 //! Deterministic parallel execution for the batch pipeline.
 //!
-//! Two primitives, both with a hard ordering contract: **results come back
-//! in input order**, no matter how work was scheduled across threads. That
+//! One primitive with a hard ordering contract: **results come back in
+//! input order**, no matter how work was scheduled across threads. That
 //! contract is what lets `analyze --threads N` produce output byte-identical
 //! to the serial path — every parallel stage is an order-preserving map, and
 //! every merge is a deterministic index-ordered concatenation (DESIGN.md
 //! §13).
 //!
-//! - [`par_map`] — map over an in-memory `Vec` on a work-stealing pool.
-//!   Items go into a shared [`Injector`]; each worker drains its local deque
-//!   first, refills from the injector in batches, and steals from siblings
-//!   when both are dry. Tagging every item with its index makes the merge
-//!   trivially deterministic.
-//! - [`par_map_stream`] — map over a *sequentially produced* stream of work
-//!   items (file chunks read by the caller) with bounded in-flight work, so
-//!   a multi-gigabyte log file never materializes in memory just to be
-//!   fanned out.
-//!
-//! Both fall back to a plain serial loop for `threads <= 1` or trivially
-//! small inputs, so the serial pipeline does not pay for thread spawns.
+//! [`par_map`] maps over an in-memory `Vec` on a work-stealing pool. Items
+//! go into a shared [`Injector`]; each worker drains its local deque first,
+//! refills from the injector in batches, and steals from siblings when both
+//! are dry. Tagging every item with its index makes the merge trivially
+//! deterministic. It falls back to a plain serial loop for `threads <= 1`
+//! or trivially small inputs, so the serial pipeline does not pay for
+//! thread spawns.
 
 use crossbeam::channel;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 
 /// Below this many items a parallel map is all overhead; run serial.
 const PAR_MIN_ITEMS: usize = 2;
-
-/// How many in-flight chunks [`par_map_stream`] allows per worker before the
-/// producer blocks. Small: bounds raw-text memory during file parsing.
-const STREAM_INFLIGHT_PER_WORKER: usize = 2;
 
 /// Maps `f` over `items` using `threads` workers, returning results in
 /// input order.
@@ -128,99 +119,6 @@ fn next_task<T>(
     None
 }
 
-/// Maps `f` over a stream of work items pulled one at a time from `source`,
-/// with bounded in-flight work, returning results in production order.
-///
-/// The producer (this thread) pulls items and feeds a bounded channel;
-/// `threads` consumers apply `f`. At most `threads ×`
-/// [`STREAM_INFLIGHT_PER_WORKER`] items are buffered, so when items are
-/// chunks of raw log text the unparsed bytes in memory stay bounded
-/// regardless of file size.
-///
-/// If `source` returns an error, feeding stops, in-flight work is drained,
-/// and the error is returned.
-pub fn par_map_stream<T, R, E, S, F>(threads: usize, mut source: S, f: F) -> Result<Vec<R>, E>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    S: FnMut() -> Result<Option<T>, E>,
-    F: Fn(T) -> R + Sync,
-{
-    if threads <= 1 {
-        let mut out = Vec::new();
-        while let Some(item) = source()? {
-            out.push(f(item));
-        }
-        return Ok(out);
-    }
-
-    let (work_tx, work_rx) = channel::bounded::<(usize, T)>(threads * STREAM_INFLIGHT_PER_WORKER);
-    let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let work_rx = work_rx.clone();
-            let res_tx = res_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                for (seq, item) in work_rx.iter() {
-                    let _ = res_tx.send((seq, f(item)));
-                }
-            });
-        }
-        drop(work_rx);
-        drop(res_tx);
-
-        let mut feed_err = None;
-        let mut seq = 0usize;
-        loop {
-            match source() {
-                Ok(Some(item)) => {
-                    if work_tx.send((seq, item)).is_err() {
-                        break; // all workers gone; cannot happen while we hold work
-                    }
-                    seq += 1;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    feed_err = Some(e);
-                    break;
-                }
-            }
-        }
-        drop(work_tx);
-
-        let mut results: Vec<(usize, R)> = res_rx.iter().collect();
-        if let Some(e) = feed_err {
-            return Err(e);
-        }
-        results.sort_by_key(|(s, _)| *s);
-        Ok(results.into_iter().map(|(_, r)| r).collect())
-    })
-}
-
-/// Splits `items` into at most `pieces` contiguous chunks of near-equal
-/// size, preserving order. Used by pipeline stages that parallelize over
-/// chunks (parse, filter) so per-item dispatch cost amortizes; chunk
-/// results are concatenated in chunk order, which equals input order.
-pub fn chunked<T>(items: Vec<T>, pieces: usize) -> Vec<Vec<T>> {
-    let len = items.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let pieces = pieces.clamp(1, len);
-    let base = len / pieces;
-    let extra = len % pieces;
-    let mut chunks = Vec::with_capacity(pieces);
-    let mut it = items.into_iter();
-    for i in 0..pieces {
-        let take = base + usize::from(i < extra);
-        chunks.push(it.by_ref().take(take).collect());
-    }
-    chunks
-}
-
 /// The worker count to use for "all cores": the machine's available
 /// parallelism, with a serial fallback when it cannot be queried.
 pub fn default_threads() -> usize {
@@ -265,52 +163,6 @@ mod tests {
     fn par_map_empty_and_tiny() {
         assert_eq!(par_map(8, Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         assert_eq!(par_map(8, vec![7u32], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_map_stream_matches_serial() {
-        for threads in [1, 2, 4] {
-            let mut n = 0u64;
-            let source = move || -> Result<Option<u64>, ()> {
-                if n < 500 {
-                    n += 1;
-                    Ok(Some(n))
-                } else {
-                    Ok(None)
-                }
-            };
-            let out = par_map_stream(threads, source, |x| x * x).unwrap();
-            let expect: Vec<u64> = (1..=500).map(|x| x * x).collect();
-            assert_eq!(out, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_stream_propagates_source_error() {
-        let mut n = 0u32;
-        let source = move || -> Result<Option<u32>, &'static str> {
-            n += 1;
-            if n > 10 {
-                Err("disk on fire")
-            } else {
-                Ok(Some(n))
-            }
-        };
-        let err = par_map_stream(4, source, |x| x).unwrap_err();
-        assert_eq!(err, "disk on fire");
-    }
-
-    #[test]
-    fn chunked_covers_everything_in_order() {
-        let items: Vec<u32> = (0..97).collect();
-        for pieces in [1, 2, 3, 8, 97, 200] {
-            let chunks = chunked(items.clone(), pieces);
-            assert!(chunks.len() <= pieces.max(1));
-            assert!(chunks.iter().all(|c| !c.is_empty()));
-            let flat: Vec<u32> = chunks.into_iter().flatten().collect();
-            assert_eq!(flat, items, "pieces={pieces}");
-        }
-        assert!(chunked(Vec::<u32>::new(), 4).is_empty());
     }
 
     #[test]

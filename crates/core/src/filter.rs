@@ -29,7 +29,7 @@
 use logdiver_types::{ErrorCategory, NodeId, Severity, Timestamp};
 use serde::{Deserialize, Serialize};
 
-use crate::parse::{ParsedColumns, ParsedLogs};
+use crate::parse::ParsedColumns;
 
 /// Which source a filtered entry came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -480,31 +480,6 @@ impl FilterStats {
     }
 }
 
-/// Filters one syslog record; `None` means "operational chatter, discard".
-pub fn entry_from_syslog(
-    rec: &craylog::syslog::SyslogRecord,
-    table: &PatternTable,
-) -> Option<FilteredEntry> {
-    table.classify(&rec.message).map(|category| FilteredEntry {
-        timestamp: rec.timestamp,
-        category,
-        severity: category.severity(),
-        node: rec.node(),
-        source: EntrySource::Syslog,
-    })
-}
-
-/// Converts one hardware-error record (always kept).
-pub fn entry_from_hwerr(rec: &craylog::hwerr::HwErrRecord) -> FilteredEntry {
-    FilteredEntry {
-        timestamp: rec.timestamp,
-        category: rec.category,
-        severity: rec.severity,
-        node: Some(rec.location.to_nid()),
-        source: EntrySource::HwErr,
-    }
-}
-
 /// Converts one netwatch record (always kept).
 pub fn entry_from_netwatch(rec: &craylog::netwatch::NetwatchRecord) -> FilteredEntry {
     use craylog::netwatch::NetwatchEvent::*;
@@ -524,72 +499,15 @@ pub fn entry_from_netwatch(rec: &craylog::netwatch::NetwatchRecord) -> FilteredE
 
 /// The key the entry stream is ordered by: time, then node (node-less
 /// entries last), with source order (syslog, hwerr, netwatch) breaking the
-/// remaining ties — exactly the order the batch path's stable sort
+/// remaining ties — exactly the order [`filter_columns`]'s stable sort
 /// produces. The streaming reorder buffer sorts by this same key so both
 /// drivers feed the coalescer identically.
 pub fn entry_sort_key(e: &FilteredEntry) -> (Timestamp, u32) {
     (e.timestamp, e.node.map(|n| n.value()).unwrap_or(u32::MAX))
 }
 
-/// Runs the filter over parsed logs.
-pub fn filter_logs(parsed: &ParsedLogs, table: &PatternTable) -> (Vec<FilteredEntry>, FilterStats) {
-    filter_logs_threads(parsed, table, 1)
-}
-
 /// Below this many syslog records the parallel scan is all overhead.
 const PAR_FILTER_MIN_RECORDS: usize = 4096;
-
-/// Runs the filter across `threads` workers, producing exactly what
-/// [`filter_logs`] produces.
-///
-/// Only the syslog scan (the volume) parallelizes; per-chunk keeps are
-/// concatenated in chunk order — i.e. record order — before the same stable
-/// sort the serial path runs, so ties resolve identically.
-pub fn filter_logs_threads(
-    parsed: &ParsedLogs,
-    table: &PatternTable,
-    threads: usize,
-) -> (Vec<FilteredEntry>, FilterStats) {
-    let mut entries = Vec::new();
-    let mut stats = FilterStats::default();
-
-    if threads <= 1 || parsed.syslog.len() < PAR_FILTER_MIN_RECORDS {
-        for rec in &parsed.syslog {
-            stats.syslog_examined += 1;
-            if let Some(entry) = entry_from_syslog(rec, table) {
-                stats.syslog_kept += 1;
-                entries.push(entry);
-            }
-        }
-    } else {
-        let chunk_len = (parsed.syslog.len() / (threads * 4)).max(PAR_FILTER_MIN_RECORDS / 4);
-        let chunks: Vec<&[craylog::syslog::SyslogRecord]> =
-            parsed.syslog.chunks(chunk_len).collect();
-        let results = crate::exec::par_map(threads, chunks, |recs| {
-            let kept: Vec<FilteredEntry> = recs
-                .iter()
-                .filter_map(|rec| entry_from_syslog(rec, table))
-                .collect();
-            (recs.len() as u64, kept)
-        });
-        for (examined, kept) in results {
-            stats.syslog_examined += examined;
-            stats.syslog_kept += kept.len() as u64;
-            entries.extend(kept);
-        }
-    }
-
-    for rec in &parsed.hwerr {
-        stats.structured_kept += 1;
-        entries.push(entry_from_hwerr(rec));
-    }
-    for rec in &parsed.netwatch {
-        stats.structured_kept += 1;
-        entries.push(entry_from_netwatch(rec));
-    }
-    entries.sort_by_key(entry_sort_key);
-    (entries, stats)
-}
 
 /// Filters one columnar syslog record from its borrowed field slices;
 /// `None` means "operational chatter, discard". Classification runs on the
@@ -622,11 +540,10 @@ fn entry_from_hwerr_parsed(h: &crate::parse::HwErrParsed) -> FilteredEntry {
     }
 }
 
-/// Runs the filter over columnar parse output — the zero-copy pipeline's
-/// stage 2, producing exactly what [`filter_logs_threads`] produces on the
-/// equivalent [`ParsedLogs`]: same entries, same order (chunk-in-record-
-/// order concatenation, then the same stable sort), same stats, for any
-/// thread count.
+/// Runs the filter over columnar parse output — the pipeline's stage 2.
+/// Only the syslog scan (the volume) parallelizes; per-chunk keeps are
+/// concatenated in chunk order — i.e. record order — before one stable
+/// sort, so entries, order and stats are the same for any thread count.
 pub fn filter_columns(
     cols: &ParsedColumns<'_>,
     table: &PatternTable,
@@ -724,8 +641,9 @@ mod tests {
             .push("2013-03-28 12:30:02|c0-0c0s1n0|MEM_UE|FATAL|dimm=1".into());
         logs.netwatch
             .push("2013-03-28 12:30:03 netwatch LINK_FAILED coord=(1,2,3) dim=X".into());
-        let parsed = crate::parse::parse_collection(&logs);
-        let (entries, stats) = filter_logs(&parsed, &PatternTable::curated());
+        let sources = crate::parse::collection_lines(&logs);
+        let cols = crate::parse::parse_columns_threads(&sources, 1);
+        let (entries, stats) = filter_columns(&cols, &PatternTable::curated(), 1);
         assert_eq!(entries.len(), 3);
         assert_eq!(stats.syslog_examined, 2);
         assert_eq!(stats.syslog_kept, 1);
@@ -894,8 +812,8 @@ mod tests {
             .push("2013-03-28 12:30:03 netwatch LINK_FAILED coord=(1,2,3) dim=X".into());
 
         let table = PatternTable::curated();
-        let parsed = crate::parse::parse_collection(&logs);
-        let (want_entries, want_stats) = filter_logs(&parsed, &table);
+        let (want_entries, want_stats) =
+            crate::oracle::filter(&crate::oracle::parse(&logs), &table);
 
         let sources = crate::parse::collection_lines(&logs);
         let cols = crate::parse::parse_columns_threads(&sources, 1);

@@ -56,6 +56,8 @@ pub mod input;
 pub mod jobs;
 pub mod matcher;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod parse;
 pub mod pipeline;
 pub mod precursor;

@@ -15,21 +15,17 @@
 //! single allocation. Rejected lines are recorded by provenance
 //! ([`QuarantinedLine`]: source + byte offset), not by cloning their text.
 //!
-//! The record-materializing API ([`ParsedLogs`], [`parse_collection`],
-//! [`parse_dir`]) remains for callers that need standalone owned records.
-
-use std::io::BufRead;
-use std::path::Path;
+//! This is the only parse path in the crate: both front doors tag their
+//! input ([`collection_lines`], [`arena_lines`]) and hand it here.
 
 use craylog::alps::AlpsRecord;
-use craylog::hwerr::{HwErrRecord, RawHwErr};
+use craylog::hwerr::RawHwErr;
 use craylog::netwatch::NetwatchRecord;
-use craylog::syslog::{RawSyslog, SyslogRecord};
+use craylog::syslog::RawSyslog;
 use craylog::torque::TorqueRecord;
 use logdiver_types::{ErrorCategory, NodeId, Severity, Timestamp};
 use serde::{Deserialize, Serialize};
 
-use crate::error::LogDiverError;
 use crate::input::{LogArena, LogCollection};
 
 /// Per-source line accounting.
@@ -48,263 +44,6 @@ impl ParseCounts {
     pub fn good(&self) -> u64 {
         self.total - self.bad
     }
-}
-
-/// Everything stage 1 produces.
-#[derive(Debug, Default)]
-pub struct ParsedLogs {
-    /// Parsed syslog records.
-    pub syslog: Vec<SyslogRecord>,
-    /// Parsed hardware-error records.
-    pub hwerr: Vec<HwErrRecord>,
-    /// Parsed ALPS records.
-    pub alps: Vec<AlpsRecord>,
-    /// Parsed Torque records.
-    pub torque: Vec<TorqueRecord>,
-    /// Parsed netwatch records.
-    pub netwatch: Vec<NetwatchRecord>,
-    /// Accounting per source: `[syslog, hwerr, alps, torque, netwatch]`.
-    pub counts: [ParseCounts; 5],
-}
-
-impl ParsedLogs {
-    /// Total corrupt lines across sources.
-    pub fn total_bad(&self) -> u64 {
-        self.counts.iter().map(|c| c.bad).sum()
-    }
-}
-
-/// Parses one raw line with the stage-1 counting rules: every line bumps
-/// `total`; blank and unparseable lines bump `bad` and yield `None`. The
-/// batch paths and the streaming engine's parse workers all route through
-/// this so corrupt-line accounting can never drift between drivers.
-pub fn parse_counted<T>(
-    line: &str,
-    counts: &mut ParseCounts,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Option<T> {
-    counts.total += 1;
-    if line.trim().is_empty() {
-        counts.bad += 1;
-        return None;
-    }
-    match parse(line) {
-        Some(rec) => Some(rec),
-        None => {
-            counts.bad += 1;
-            None
-        }
-    }
-}
-
-fn parse_all<T>(
-    lines: &[String],
-    counts: &mut ParseCounts,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Vec<T> {
-    let mut out = Vec::with_capacity(lines.len());
-    for line in lines {
-        out.extend(parse_counted(line, counts, &parse));
-    }
-    out
-}
-
-/// Aim for several chunks per worker so stealing can even out corrupt-line
-/// hotspots, but never chunks so small that dispatch dominates.
-const MIN_CHUNK_LINES: usize = 1024;
-
-/// Parses one source's lines across `threads` workers. Chunk results are
-/// concatenated in chunk order (= line order) and the per-chunk counts are
-/// summed, so the output is identical to the serial scan.
-fn parse_lines_par<T: Send>(
-    lines: &[String],
-    threads: usize,
-    parse: impl Fn(&str) -> Option<T> + Sync,
-) -> (Vec<T>, ParseCounts) {
-    let mut counts = ParseCounts::default();
-    if threads <= 1 || lines.len() < 2 * MIN_CHUNK_LINES {
-        let out = parse_all(lines, &mut counts, parse);
-        return (out, counts);
-    }
-    let chunk_len = (lines.len() / (threads * 4)).max(MIN_CHUNK_LINES);
-    let chunks: Vec<&[String]> = lines.chunks(chunk_len).collect();
-    let results = crate::exec::par_map(threads, chunks, |chunk| {
-        let mut c = ParseCounts::default();
-        let recs = parse_all(chunk, &mut c, &parse);
-        (recs, c)
-    });
-    let mut out = Vec::with_capacity(lines.len());
-    for (recs, c) in results {
-        out.extend(recs);
-        counts.total += c.total;
-        counts.bad += c.bad;
-    }
-    (out, counts)
-}
-
-/// Parses a whole collection.
-pub fn parse_collection(logs: &LogCollection) -> ParsedLogs {
-    parse_collection_threads(logs, 1)
-}
-
-/// Parses a whole collection across `threads` workers, producing exactly
-/// what [`parse_collection`] produces.
-pub fn parse_collection_threads(logs: &LogCollection, threads: usize) -> ParsedLogs {
-    let mut parsed = ParsedLogs::default();
-    (parsed.syslog, parsed.counts[0]) =
-        parse_lines_par(&logs.syslog, threads, |l| SyslogRecord::parse(l).ok());
-    (parsed.hwerr, parsed.counts[1]) =
-        parse_lines_par(&logs.hwerr, threads, |l| HwErrRecord::parse(l).ok());
-    (parsed.alps, parsed.counts[2]) =
-        parse_lines_par(&logs.alps, threads, |l| AlpsRecord::parse(l).ok());
-    (parsed.torque, parsed.counts[3]) =
-        parse_lines_par(&logs.torque, threads, |l| TorqueRecord::parse(l).ok());
-    (parsed.netwatch, parsed.counts[4]) =
-        parse_lines_par(&logs.netwatch, threads, |l| NetwatchRecord::parse(l).ok());
-    parsed
-}
-
-fn parse_file<T>(
-    path: &Path,
-    counts: &mut ParseCounts,
-    out: &mut Vec<T>,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<(), LogDiverError> {
-    if !path.exists() {
-        return Ok(());
-    }
-    let file = std::fs::File::open(path).map_err(|source| LogDiverError::Io {
-        // lint: allow(hot-path-alloc) I/O-error construction, once per failed file, never per record
-        path: path.display().to_string(),
-        source,
-    })?;
-    for line in std::io::BufReader::new(file).lines() {
-        let line = line.map_err(|source| LogDiverError::Io {
-            // lint: allow(hot-path-alloc) I/O-error construction, once per failed file, never per record
-            path: path.display().to_string(),
-            source,
-        })?;
-        out.extend(parse_counted(&line, counts, &parse));
-    }
-    Ok(())
-}
-
-/// Parses a log directory *streaming*: lines go straight from the reader
-/// into typed records without ever materializing the raw text — the memory
-/// profile a full 518-day analysis needs (raw logs are gigabytes; parsed
-/// records are a fraction of that).
-///
-/// # Errors
-///
-/// [`LogDiverError::Io`] on read failures, [`LogDiverError::NoInput`] when
-/// no recognizable file exists under `dir`.
-pub fn parse_dir(dir: impl AsRef<Path>) -> Result<ParsedLogs, LogDiverError> {
-    parse_dir_threads(dir, 1)
-}
-
-/// How many lines of raw text travel to a parse worker at a time. Bounds
-/// in-flight raw text: at most `threads × 2` chunks exist unparsed.
-const FILE_CHUNK_LINES: usize = 4096;
-
-/// Parses a log directory across `threads` workers, producing exactly what
-/// [`parse_dir`] produces.
-///
-/// The reader stays sequential (one pass per file); chunks of raw lines fan
-/// out to workers over a bounded channel and the typed results are merged
-/// in chunk order, so memory stays bounded and output order is the file
-/// order.
-///
-/// # Errors
-///
-/// Same as [`parse_dir`].
-pub fn parse_dir_threads(
-    dir: impl AsRef<Path>,
-    threads: usize,
-) -> Result<ParsedLogs, LogDiverError> {
-    let dir = dir.as_ref();
-    let mut parsed = ParsedLogs::default();
-    parse_file_par(
-        &dir.join("messages.log"),
-        threads,
-        &mut parsed.counts[0],
-        &mut parsed.syslog,
-        |l| SyslogRecord::parse(l).ok(),
-    )?;
-    parse_file_par(
-        &dir.join("hwerr.log"),
-        threads,
-        &mut parsed.counts[1],
-        &mut parsed.hwerr,
-        |l| HwErrRecord::parse(l).ok(),
-    )?;
-    parse_file_par(
-        &dir.join("apsys.log"),
-        threads,
-        &mut parsed.counts[2],
-        &mut parsed.alps,
-        |l| AlpsRecord::parse(l).ok(),
-    )?;
-    parse_file_par(
-        &dir.join("torque.log"),
-        threads,
-        &mut parsed.counts[3],
-        &mut parsed.torque,
-        |l| TorqueRecord::parse(l).ok(),
-    )?;
-    parse_file_par(
-        &dir.join("netwatch.log"),
-        threads,
-        &mut parsed.counts[4],
-        &mut parsed.netwatch,
-        |l| NetwatchRecord::parse(l).ok(),
-    )?;
-    if parsed.counts.iter().all(|c| c.total == 0) {
-        return Err(LogDiverError::NoInput {
-            // lint: allow(hot-path-alloc) I/O-error construction, once per failed file, never per record
-            path: dir.display().to_string(),
-        });
-    }
-    Ok(parsed)
-}
-
-fn parse_file_par<T: Send>(
-    path: &Path,
-    threads: usize,
-    counts: &mut ParseCounts,
-    out: &mut Vec<T>,
-    parse: impl Fn(&str) -> Option<T> + Sync,
-) -> Result<(), LogDiverError> {
-    if threads <= 1 {
-        return parse_file(path, counts, out, parse);
-    }
-    if !path.exists() {
-        return Ok(());
-    }
-    let io_err = |source: std::io::Error| LogDiverError::Io {
-        // lint: allow(hot-path-alloc) I/O-error construction, once per failed file, never per record
-        path: path.display().to_string(),
-        source,
-    };
-    let file = std::fs::File::open(path).map_err(io_err)?;
-    let mut lines = std::io::BufReader::new(file).lines();
-    let source = move || -> Result<Option<Vec<String>>, LogDiverError> {
-        let mut chunk = Vec::with_capacity(FILE_CHUNK_LINES);
-        for line in lines.by_ref().take(FILE_CHUNK_LINES) {
-            chunk.push(line.map_err(io_err)?);
-        }
-        Ok(if chunk.is_empty() { None } else { Some(chunk) })
-    };
-    let results = crate::exec::par_map_stream(threads, source, |chunk: Vec<String>| {
-        let mut c = ParseCounts::default();
-        let recs = parse_all(&chunk, &mut c, &parse);
-        (recs, c)
-    })?;
-    for (recs, c) in results {
-        out.extend(recs);
-        counts.total += c.total;
-        counts.bad += c.bad;
-    }
-    Ok(())
 }
 
 /// One rejected raw line, identified by provenance — no text is cloned on
@@ -414,13 +153,17 @@ pub fn arena_lines(arena: &LogArena) -> [TaggedLines<'_>; 5] {
     std::array::from_fn(|i| arena.lines(i).collect())
 }
 
-/// Blank lines count as corrupt, exactly as [`parse_counted`] treats them.
-/// Byte-level equivalent of `str::trim().is_empty()` for ASCII whitespace;
-/// lines blank only under Unicode whitespace fail their parser instead —
-/// either way they are counted bad.
+/// Blank lines count as corrupt. Byte-level equivalent of
+/// `str::trim().is_empty()` for ASCII whitespace; lines blank only under
+/// Unicode whitespace fail their parser instead — either way they are
+/// counted bad.
 fn is_blank(line: &[u8]) -> bool {
     line.iter().all(u8::is_ascii_whitespace)
 }
+
+/// Aim for several chunks per worker so stealing can even out corrupt-line
+/// hotspots, but never chunks so small that dispatch dominates.
+const MIN_CHUNK_LINES: usize = 1024;
 
 /// Runs `f` over chunks of `lines`, in parallel when the input is large
 /// enough, returning the per-chunk results in chunk order (= line order).
@@ -617,17 +360,19 @@ mod tests {
             "2013-03-28 12:30:00 apsys EXIT apid=1 code=0 signal=none node_failed=no runtime=60"
                 .into(),
         );
-        let parsed = parse_collection(&logs);
-        assert_eq!(parsed.syslog.len(), 1);
-        assert_eq!(parsed.counts[0].total, 3);
-        assert_eq!(parsed.counts[0].bad, 2);
-        assert_eq!(parsed.counts[0].good(), 1);
-        assert_eq!(parsed.alps.len(), 1);
-        assert_eq!(parsed.total_bad(), 2);
+        let sources = collection_lines(&logs);
+        let cols = parse_columns_threads(&sources, 1);
+        assert_eq!(cols.syslog.len(), 1);
+        assert_eq!(cols.counts[0].total, 3);
+        assert_eq!(cols.counts[0].bad, 2);
+        assert_eq!(cols.counts[0].good(), 1);
+        assert_eq!(cols.alps.len(), 1);
+        assert_eq!(cols.counts.iter().map(|c| c.bad).sum::<u64>(), 2);
+        assert_eq!(cols.quarantine.len(), 2);
     }
 
     #[test]
-    fn parse_dir_streams_and_matches_in_memory_path() {
+    fn dir_and_in_memory_inputs_parse_alike() {
         let dir = std::env::temp_dir().join(format!("logdiver-parse-dir-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -644,19 +389,22 @@ garbage
 ",
         )
         .unwrap();
-        let streamed = parse_dir(&dir).unwrap();
-        let in_memory = {
-            let logs = crate::input::LogCollection::from_dir(&dir).unwrap();
-            parse_collection(&logs)
-        };
-        assert_eq!(streamed.syslog, in_memory.syslog);
-        assert_eq!(streamed.alps, in_memory.alps);
-        assert_eq!(streamed.counts, in_memory.counts);
+        let arena = LogArena::from_dir(&dir).unwrap();
+        let logs = LogCollection::from_dir(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+        let arena_sources = arena_lines(&arena);
+        let from_dir = parse_columns_threads(&arena_sources, 1);
+        let memory_sources = collection_lines(&logs);
+        let in_memory = parse_columns_threads(&memory_sources, 1);
+        assert_eq!(from_dir.syslog.times, in_memory.syslog.times);
+        assert_eq!(from_dir.syslog.hosts, in_memory.syslog.hosts);
+        assert_eq!(from_dir.syslog.messages, in_memory.syslog.messages);
+        assert_eq!(from_dir.alps, in_memory.alps);
+        assert_eq!(from_dir.counts, in_memory.counts);
 
         assert!(matches!(
-            parse_dir("/definitely/not/here"),
-            Err(LogDiverError::NoInput { .. })
+            LogArena::from_dir("/definitely/not/here"),
+            Err(crate::LogDiverError::NoInput { .. })
         ));
     }
 
@@ -666,9 +414,10 @@ garbage
         for i in 0..100 {
             logs.hwerr.push(format!("corrupt record {i}"));
         }
-        let parsed = parse_collection(&logs);
-        assert_eq!(parsed.hwerr.len(), 0);
-        assert_eq!(parsed.counts[1].bad, 100);
+        let sources = collection_lines(&logs);
+        let cols = parse_columns_threads(&sources, 1);
+        assert_eq!(cols.hwerr.len(), 0);
+        assert_eq!(cols.counts[1].bad, 100);
     }
 
     fn mixed_logs() -> LogCollection {
@@ -694,12 +443,13 @@ garbage
         logs
     }
 
-    /// The columnar path must agree with the record path field-for-field:
-    /// same counts, same timestamps, same host/message boundaries.
+    /// The columnar path must agree with the owned record parsers
+    /// field-for-field: same counts, same timestamps, same host/message
+    /// boundaries.
     #[test]
     fn columns_match_record_parse() {
         let logs = mixed_logs();
-        let parsed = parse_collection(&logs);
+        let parsed = crate::oracle::parse(&logs);
         let sources = collection_lines(&logs);
         let cols = parse_columns_threads(&sources, 1);
 
@@ -765,8 +515,8 @@ garbage
         assert!(!q.reason.is_empty());
     }
 
-    /// The arena path admits encoding damage the record path cannot even
-    /// represent: a torn multi-byte sequence is quarantined by offset,
+    /// The arena path admits encoding damage a `String` collection cannot
+    /// even represent: a torn multi-byte sequence is quarantined by offset,
     /// while intact lines around it parse normally.
     #[test]
     fn arena_parse_survives_invalid_utf8() {

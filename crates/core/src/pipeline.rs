@@ -4,10 +4,8 @@
 //! the **columnar zero-copy path**: lines are tagged with provenance
 //! ([`crate::parse::TaggedLines`]), parsed into borrowed columns
 //! ([`ParsedColumns`]), and classified before anything materializes
-//! ([`filter_columns`]). The record-based path
-//! ([`LogDiver::analyze_parsed`]) remains for callers that already hold a
-//! [`ParsedLogs`]; both produce identical analyses — a parity the tests
-//! pin.
+//! ([`filter_columns`]). There is no other batch path; the unit tests hold
+//! it equal to a serial oracle built from craylog's owned parsers.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,17 +17,15 @@ use crate::coalesce::{Coalescer, ErrorEvent};
 use crate::config::LogDiverConfig;
 use crate::coverage::{qualify_runs, CoverageConfig, CoverageGap, CoverageMap};
 use crate::error::LogDiverError;
-use crate::filter::{
-    filter_columns, filter_logs_threads, EntrySource, FilterStats, FilteredEntry, PatternTable,
-};
+use crate::filter::{filter_columns, EntrySource, FilterStats, FilteredEntry, PatternTable};
 use crate::input::{LogArena, LogCollection};
 use crate::matcher::MatchIndex;
 use crate::metrics::{compute, MetricSet};
 use crate::parse::{
-    arena_lines, collection_lines, parse_columns_threads, ParseCounts, ParsedColumns, ParsedLogs,
+    arena_lines, collection_lines, parse_columns_threads, ParseCounts, ParsedColumns,
     QuarantinedLine,
 };
-use crate::workload::{reconstruct, reconstruct_records, AppRun, JobInfo, WorkloadStats};
+use crate::workload::{reconstruct_records, AppRun, JobInfo, WorkloadStats};
 
 /// Per-stage accounting (experiment T5: pipeline effectiveness).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -236,14 +232,8 @@ impl LogDiver {
         (analysis, timings, quarantine)
     }
 
-    /// Runs the pipeline stages downstream of parsing.
-    pub fn analyze_parsed(&self, parsed: ParsedLogs) -> Analysis {
-        self.finish_timed(parsed, 0.0, stage_clock()).0
-    }
-
-    /// The columnar back half: filter-before-materialize, then the shared
-    /// tail. Field-for-field equivalent to [`LogDiver::finish_timed`] on
-    /// the corresponding [`ParsedLogs`].
+    /// The back half: filter-before-materialize, coverage, run
+    /// reconstruction, then [`LogDiver::conclude`].
     fn finish_columns_timed(
         &self,
         cols: &ParsedColumns<'_>,
@@ -291,55 +281,8 @@ impl LogDiver {
         )
     }
 
-    fn finish_timed(
-        &self,
-        parsed: ParsedLogs,
-        parse_secs: f64,
-        started: Instant,
-    ) -> (Analysis, StageTimings) {
-        let mut timings = StageTimings {
-            parse_secs,
-            ..StageTimings::default()
-        };
-
-        let stage = stage_clock();
-        let (entries, filter_stats) = filter_logs_threads(&parsed, &self.table, self.threads);
-        timings.filter_secs = stage.elapsed().as_secs_f64();
-
-        // Coverage watches every parsed record — kept *and* discarded:
-        // operational chatter is what proves a source alive.
-        let stage = stage_clock();
-        let mut coverage = CoverageMap::new(CoverageConfig::default());
-        for rec in &parsed.syslog {
-            coverage.observe(EntrySource::Syslog, rec.timestamp);
-        }
-        for rec in &parsed.hwerr {
-            coverage.observe(EntrySource::HwErr, rec.timestamp);
-        }
-        for rec in &parsed.netwatch {
-            coverage.observe(EntrySource::Netwatch, rec.timestamp);
-        }
-        timings.coverage_secs = stage.elapsed().as_secs_f64();
-
-        let stage = stage_clock();
-        let (runs, jobs, workload_stats) = reconstruct(&parsed);
-        timings.reconstruct_secs = stage.elapsed().as_secs_f64();
-
-        self.conclude(
-            timings,
-            started,
-            parsed.counts,
-            entries,
-            filter_stats,
-            coverage,
-            runs,
-            jobs,
-            workload_stats,
-        )
-    }
-
-    /// The shared pipeline tail — coalesce, classify, qualify, metrics —
-    /// identical for the columnar and record paths.
+    /// The pipeline tail — coalesce, classify, qualify, metrics — from
+    /// sorted entries and reconstructed runs.
     #[allow(clippy::too_many_arguments)]
     fn conclude(
         &self,
@@ -558,19 +501,42 @@ mod tests {
         assert_eq!(by_apid(2).confidence, AttributionConfidence::Full);
     }
 
-    /// The columnar front door and the record-based compat path must
-    /// produce identical analyses — entries, events, metrics, stats, the
-    /// lot — on the same input, for any thread count.
+    /// The columnar front door must produce the analysis the serial
+    /// record oracle leads to — entries, events, metrics, stats, the lot —
+    /// on the same input, for any thread count.
     #[test]
     fn columnar_and_record_paths_agree() {
         let mut logs = scenario();
         logs.syslog.push("¡corrupted±line···".to_string());
         logs.syslog.push(String::new());
+        let recs = crate::oracle::parse(&logs);
         for threads in [1, 3] {
             let diver = LogDiver::new().with_threads(threads);
             let columnar = diver.analyze(&logs);
-            let parsed = crate::parse::parse_collection_threads(&logs, threads);
-            let record = diver.analyze_parsed(parsed);
+
+            let (entries, filter_stats) = crate::oracle::filter(&recs, &diver.table);
+            let mut coverage = CoverageMap::new(CoverageConfig::default());
+            for rec in &recs.syslog {
+                coverage.observe(EntrySource::Syslog, rec.timestamp);
+            }
+            for rec in &recs.hwerr {
+                coverage.observe(EntrySource::HwErr, rec.timestamp);
+            }
+            for rec in &recs.netwatch {
+                coverage.observe(EntrySource::Netwatch, rec.timestamp);
+            }
+            let (runs, jobs, workload_stats) = reconstruct_records(&recs.alps, &recs.torque);
+            let (record, _) = diver.conclude(
+                StageTimings::default(),
+                stage_clock(),
+                recs.counts,
+                entries,
+                filter_stats,
+                coverage,
+                runs,
+                jobs,
+                workload_stats,
+            );
             assert_eq!(columnar.runs, record.runs, "threads={threads}");
             assert_eq!(columnar.events, record.events);
             assert_eq!(columnar.metrics, record.metrics);

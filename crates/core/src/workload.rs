@@ -14,7 +14,6 @@ use logdiver_types::codec::{Decode, DecodeError, Encode, Reader};
 use logdiver_types::{AppId, ExitStatus, JobId, NodeType, SimDuration, Timestamp, UserId};
 use serde::{Deserialize, Serialize};
 
-use crate::parse::ParsedLogs;
 use crate::ranges::RangeSet;
 
 /// How a reconstructed run terminated, as far as the logs say.
@@ -147,7 +146,7 @@ logdiver_types::codec_struct!(WorkloadStats {
 /// final.
 ///
 /// This is the single reconstruction implementation; the batch
-/// [`reconstruct`] drives it in one shot, the streaming engine feeds it
+/// [`reconstruct_records`] drives it in one shot, the streaming engine feeds it
 /// record by record and harvests finalizable runs on every watermark
 /// advance. Runs are keyed by a dense placement sequence number so the
 /// final ordering (placement order) survives out-of-band harvesting, and
@@ -365,13 +364,7 @@ logdiver_types::codec_struct!(ReconstructorState {
     next_seq
 });
 
-/// Reconstructs runs and job context from parsed logs.
-pub fn reconstruct(parsed: &ParsedLogs) -> (Vec<AppRun>, HashMap<u64, JobInfo>, WorkloadStats) {
-    reconstruct_records(&parsed.alps, &parsed.torque)
-}
-
-/// Reconstructs runs and job context from the record slices directly —
-/// the entry point the columnar pipeline uses (it has no [`ParsedLogs`]).
+/// Reconstructs runs and job context from parsed ALPS and Torque records.
 pub fn reconstruct_records(
     alps: &[craylog::alps::AlpsRecord],
     torque: &[craylog::torque::TorqueRecord],
@@ -395,7 +388,13 @@ pub fn total_node_hours(runs: &[AppRun]) -> f64 {
 mod tests {
     use super::*;
     use crate::input::LogCollection;
-    use crate::parse::parse_collection;
+    use crate::parse::{collection_lines, parse_columns_threads};
+
+    fn records(logs: &LogCollection) -> (Vec<AlpsRecord>, Vec<TorqueRecord>) {
+        let sources = collection_lines(logs);
+        let cols = parse_columns_threads(&sources, 1);
+        (cols.alps, cols.torque)
+    }
 
     fn logs() -> LogCollection {
         let mut logs = LogCollection::new();
@@ -416,8 +415,8 @@ mod tests {
 
     #[test]
     fn joins_placements_with_terminations() {
-        let parsed = parse_collection(&logs());
-        let (runs, jobs, stats) = reconstruct(&parsed);
+        let (alps, torque) = records(&logs());
+        let (runs, jobs, stats) = reconstruct_records(&alps, &torque);
         assert_eq!(runs.len(), 3);
         assert_eq!(stats.placed, 3);
         assert_eq!(stats.exited, 1);
@@ -448,19 +447,19 @@ mod tests {
 
     #[test]
     fn state_round_trip_preserves_behavior() {
-        let parsed = parse_collection(&logs());
-        let records: usize = parsed.alps.len() + parsed.torque.len();
+        let (alps, torque) = records(&logs());
+        let records: usize = alps.len() + torque.len();
         for split in 0..=records {
             let mut whole = RunReconstructor::new();
             let mut first = RunReconstructor::new();
             let feed = |r: &mut RunReconstructor, lo: usize, hi: usize| {
-                for (k, rec) in parsed.alps.iter().enumerate() {
+                for (k, rec) in alps.iter().enumerate() {
                     if (lo..hi).contains(&k) {
                         r.push_alps(rec);
                     }
                 }
-                for (k, rec) in parsed.torque.iter().enumerate() {
-                    if (lo..hi).contains(&(parsed.alps.len() + k)) {
+                for (k, rec) in torque.iter().enumerate() {
+                    if (lo..hi).contains(&(alps.len() + k)) {
                         r.push_torque(rec);
                     }
                 }
@@ -481,8 +480,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let parsed = parse_collection(&LogCollection::new());
-        let (runs, jobs, stats) = reconstruct(&parsed);
+        let (runs, jobs, stats) = reconstruct_records(&[], &[]);
         assert!(runs.is_empty());
         assert!(jobs.is_empty());
         assert_eq!(stats, WorkloadStats::default());

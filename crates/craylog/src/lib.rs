@@ -30,7 +30,7 @@
 //! [`hwerr::RawHwErr`]) until an explicit `materialize()`. The `parse(&str)`
 //! entry points are thin wrappers, byte-for-byte equivalent to the retired
 //! allocating parsers — an equivalence pinned by differential proptests
-//! against the frozen copies in the hidden `reference` module.
+//! against the frozen copies in `tests/reference/`.
 //!
 //! ## Example
 //!
@@ -54,7 +54,6 @@ pub mod error;
 pub mod hwerr;
 pub mod netwatch;
 pub mod nodelist;
-pub mod reference;
 pub mod scan;
 pub mod syslog;
 pub mod templates;

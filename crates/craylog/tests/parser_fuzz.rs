@@ -10,7 +10,7 @@
 use craylog::alps::AlpsRecord;
 use craylog::hwerr::HwErrRecord;
 use craylog::netwatch::NetwatchRecord;
-use craylog::reference;
+mod reference;
 use craylog::syslog::SyslogRecord;
 use craylog::torque::TorqueRecord;
 use proptest::prelude::*;

@@ -4,26 +4,23 @@
 //! `str`-splitting implementations were frozen here instead of deleted:
 //! the `parser_fuzz` differential proptests replay arbitrary (and
 //! deliberately corrupt / lossy-UTF-8) corpora through both and require
-//! byte-identical records and identical accept/reject decisions. They are
-//! not part of the supported API and may disappear once the equivalence
-//! argument no longer needs a mechanical witness.
-
-#![doc(hidden)]
-#![allow(missing_docs)]
+//! byte-identical records and identical accept/reject decisions. They
+//! live with that test, outside the library: a production build carries
+//! one parser per format.
 
 use logdiver_types::{
     AppId, ErrorCategory, ExitStatus, JobId, NodeId, NodeSet, NodeType, Severity, Sym, Timestamp,
     UserId,
 };
 
-use crate::alps::{AlpsRecord, AppExitRecord, AppLaunchErrRecord, AppPlacedRecord};
-use crate::error::CraylogError;
-use crate::hwerr::HwErrRecord;
-use crate::netwatch::{NetwatchEvent, NetwatchRecord};
-use crate::syslog::SyslogRecord;
-use crate::torque::{TorqueEventKind, TorqueRecord};
 use bw_topology::torus::Dim;
 use bw_topology::{Location, TorusCoord};
+use craylog::alps::{AlpsRecord, AppExitRecord, AppLaunchErrRecord, AppPlacedRecord};
+use craylog::error::CraylogError;
+use craylog::hwerr::HwErrRecord;
+use craylog::netwatch::{NetwatchEvent, NetwatchRecord};
+use craylog::syslog::SyslogRecord;
+use craylog::torque::{TorqueEventKind, TorqueRecord};
 
 pub fn parse_syslog(line: &str) -> Result<SyslogRecord, CraylogError> {
     let err = |reason: &'static str| CraylogError::new("syslog", reason, line);

@@ -34,26 +34,28 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
         root: None,
         list_rules: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => opts.json = true,
-            "--rules" => opts.list_rules = true,
-            "--deny" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("warnings") => opts.deny_warnings = true,
-                    other => {
-                        return Err(format!(
-                            "--deny takes `warnings`, got {}",
-                            other.unwrap_or("nothing")
-                        ))
-                    }
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        // Accept both `--name value` and `--name=value`.
+        let (name, inline) = match arg.split_once('=') {
+            Some((n, v)) => (n, Some(v)),
+            None => (arg.as_str(), None),
+        };
+        let mut value = || inline.or_else(|| it.next().map(String::as_str));
+        match name {
+            "--json" if inline.is_none() => opts.json = true,
+            "--rules" if inline.is_none() => opts.list_rules = true,
+            "--deny" => match value() {
+                Some("warnings") => opts.deny_warnings = true,
+                other => {
+                    return Err(format!(
+                        "--deny takes `warnings`, got {}",
+                        other.unwrap_or("nothing")
+                    ))
                 }
-            }
+            },
             "--root" => {
-                i += 1;
-                let dir = args.get(i).ok_or("--root takes a directory")?;
+                let dir = value().ok_or("--root takes a directory")?;
                 opts.root = Some(PathBuf::from(dir));
             }
             "--help" | "-h" => {
@@ -70,9 +72,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                         .to_string(),
                 )
             }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
+            _ => return Err(format!("unknown argument {arg:?} (try --help)")),
         }
-        i += 1;
     }
     Ok(opts)
 }
@@ -174,8 +175,12 @@ mod tests {
     fn args_parse() {
         let o = parse_args(&s(&["--json", "--deny", "warnings"])).unwrap();
         assert!(o.json && o.deny_warnings && o.root.is_none());
-        let o = parse_args(&s(&["--root", "/tmp/x"])).unwrap();
-        assert_eq!(o.root.as_deref(), Some(std::path::Path::new("/tmp/x")));
+        for form in [&["--root", "/tmp/x"][..], &["--root=/tmp/x"]] {
+            let o = parse_args(&s(form)).unwrap();
+            assert_eq!(o.root.as_deref(), Some(std::path::Path::new("/tmp/x")));
+        }
+        assert!(parse_args(&s(&["--deny=warnings"])).unwrap().deny_warnings);
+        assert!(parse_args(&s(&["--json=yes"])).is_err());
         assert!(parse_args(&s(&["--deny", "everything"])).is_err());
         assert!(parse_args(&s(&["--frobnicate"])).is_err());
         assert!(parse_args(&s(&["--help"])).is_err());

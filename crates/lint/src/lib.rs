@@ -263,12 +263,6 @@ pub const MODULE_ALLOWANCES: &[(&str, &str, &str)] = &[
          data-prep tooling, not in the per-record parse loop",
     ),
     (
-        "crates/craylog/src/reference.rs",
-        "hot-path-alloc",
-        "the frozen pre-rewrite allocating parsers, kept verbatim as the differential-fuzz \
-         oracle; allocating is exactly what they are preserved to do",
-    ),
-    (
         "crates/serve/src/daemon.rs",
         "blocking-under-lock",
         "the daemon deliberately holds the fleet mutex across pump and checkpoint: the \

@@ -28,8 +28,7 @@
 //!   sneaks in shows up as a silent 2-3× regression, not a test failure.
 //!   Cold paths (error display, `materialize()`, quarantine rendering)
 //!   carry per-line allows; whole modules that exist to build strings
-//!   (templates, anonymize, the frozen reference parsers) carry module
-//!   allowances.
+//!   (templates, anonymize) carry module allowances.
 //!
 //! Escapes: `// lint: allow(<rule>) <reason>` on the finding's line or the
 //! line above. The reason is mandatory and the rule id must exist —
@@ -574,7 +573,6 @@ mod tests {
         // Module allowances cover the emit-side modules wholesale.
         let bad = "fn f(x: u8) -> String { format!(\"{x}\") }\n";
         assert!(lint_source("crates/craylog/src/templates.rs", bad).is_empty());
-        assert!(lint_source("crates/craylog/src/reference.rs", bad).is_empty());
         assert!(lint_source("crates/craylog/src/anonymize.rs", bad).is_empty());
     }
 

@@ -208,6 +208,32 @@ pub fn parse_flags(args: &[String]) -> Result<DaemonConfig, String> {
     Ok(config)
 }
 
+/// The whole command line — `--help`, [`parse_flags`], [`run`] — as the
+/// `logdiver-serve` binary and `logdiver serve` both run it. Returns the
+/// process exit status: 0 after a clean shutdown, 1 when the daemon
+/// failed, 2 on a usage error.
+pub fn run_cli(args: &[String]) -> u8 {
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{USAGE}");
+        return 0;
+    }
+    let config = match parse_flags(args) {
+        Ok(config) => config,
+        Err(message) => {
+            eprintln!("logdiver-serve: {message}");
+            eprintln!("{USAGE}");
+            return 2;
+        }
+    };
+    match run(config) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("logdiver-serve: {e}");
+            1
+        }
+    }
+}
+
 fn parse_num(name: &str, raw: &str) -> Result<u64, String> {
     raw.parse()
         .map_err(|_| format!("option '{name}' expects a non-negative integer, got '{raw}'"))

@@ -1,27 +1,9 @@
-//! The standalone `logdiver-serve` binary. `logdiver serve` dispatches to
-//! the same [`logdiver_serve::daemon::run`].
+//! The standalone `logdiver-serve` binary. `logdiver serve` runs the same
+//! [`logdiver_serve::daemon::run_cli`].
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{}", logdiver_serve::daemon::USAGE);
-        return ExitCode::SUCCESS;
-    }
-    let config = match logdiver_serve::daemon::parse_flags(&args) {
-        Ok(config) => config,
-        Err(message) => {
-            eprintln!("logdiver-serve: {message}");
-            eprintln!("{}", logdiver_serve::daemon::USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    match logdiver_serve::daemon::run(config) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("logdiver-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    ExitCode::from(logdiver_serve::daemon::run_cli(&args))
 }

@@ -1,5 +1,5 @@
-//! The threaded shell: per-source parse workers, bounded channels, and the
-//! coordinator that owns the [`StreamCore`].
+//! The threaded shell: per-source parse workers, bounded channels, and a
+//! coordinator feeding the one engine core ([`InlineEngine`]).
 //!
 //! ```text
 //!  push(source, line) / push_batch(source, lines)
@@ -8,118 +8,55 @@
 //!  parse workers — syslog is shardable; workers also run the pattern
 //!    │             table, so filtering parallelizes with parsing
 //!    ▼  bounded result channel (one message per parsed chunk)
-//!  coordinator — re-sequences per source, advances watermarks, feeds the
-//!    │           incremental coalescer/reconstructor/classifier
+//!  coordinator — puts each source's chunks back in line order, counts
+//!    │           finished shards, applies, advances the watermarks
 //!    ▼
-//!  StreamCore behind parking_lot::Mutex — snapshot() reads it live,
-//!                                         drain() consumes it
+//!  InlineEngine behind parking_lot::Mutex — snapshot() reads it live,
+//!                                           drain() consumes it
 //! ```
+//!
+//! Nothing here knows how the pipeline works. What the shell owns is what
+//! threads make necessary: the count of lines *pushed* (ahead of the
+//! core's count of lines *applied* while chunks are in flight), the
+//! re-sequencing of chunks that shards finish out of order, and the wait
+//! for `applied == pushed` before a checkpoint is taken.
 //!
 //! Lines travel in chunks of up to [`PUSH_CHUNK`] so the per-line cost is
 //! a vector push, not a channel rendezvous: one send per chunk, one
 //! coordinator lock per bundle of chunks, one watermark advance per lock
-//! hold. Per-line ordering is untouched — every line carries its per-source
-//! sequence number and [`StreamCore::accept`] re-sequences exactly as
-//! before, so the analysis is byte-identical for any chunking.
+//! hold. A chunk is a run of consecutive lines of one source and carries
+//! the line number of its first line, so the coordinator re-sequences
+//! whole chunks and the analysis is byte-identical for any chunking.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use craylog::alps::AlpsRecord;
-use craylog::hwerr::RawHwErr;
-use craylog::netwatch::NetwatchRecord;
-use craylog::syslog::RawSyslog;
-use craylog::torque::TorqueRecord;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use logdiver::filter::{
-    entry_from_netwatch, entry_from_syslog_bytes, EntrySource, FilterStats, FilteredEntry,
-    PatternTable,
-};
-use logdiver::metrics::{compute, MetricSet};
-use logdiver::parse::ParseCounts;
+use logdiver::filter::PatternTable;
 use logdiver::pipeline::Analysis;
-use logdiver_types::{SimDuration, Timestamp};
 use parking_lot::Mutex;
 
 use crate::checkpoint::{ResumeError, StreamCheckpoint};
 use crate::config::{Source, StreamConfig};
 use crate::health::HealthReport;
-use crate::state::{cell_is_open, new_health_cells, Body, HealthCells, Parsed, StreamCore};
-
-/// Errors the push API can report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamError {
-    /// The source was closed with [`StreamEngine::close`]; no more lines
-    /// can be pushed to it.
-    SourceClosed(Source),
-    /// The source's circuit breaker is open: the line was rejected (and
-    /// counted). Wait [`HealthReport::backoff_ms`], call
-    /// [`StreamEngine::probe`], then retry.
-    CircuitOpen(Source),
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::SourceClosed(s) => write!(f, "source {} is closed", s.name()),
-            StreamError::CircuitOpen(s) => {
-                write!(f, "source {}: circuit breaker is open", s.name())
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-/// A live view of the engine, cheap to take while ingestion continues.
-#[derive(Debug, Clone)]
-pub struct StreamSnapshot {
-    /// The run watermark: everything older is fully processed. `None`
-    /// until every open source has produced at least one record.
-    pub watermark: Option<Timestamp>,
-    /// Per-source parse accounting (`[syslog, hwerr, alps, torque,
-    /// netwatch]`); `bad` is the corrupt-line quarantine counter.
-    pub parse: [ParseCounts; 5],
-    /// Filter accounting so far.
-    pub filter: FilterStats,
-    /// Entries that arrived later than the allowed lateness and were
-    /// skipped.
-    pub late_dropped: u64,
-    /// Entries waiting in the reorder buffer.
-    pub buffered_entries: usize,
-    /// Error events still open in the coalescer.
-    pub open_events: usize,
-    /// Error events closed and indexed.
-    pub closed_events: usize,
-    /// Of those, lethal events.
-    pub lethal_events: u64,
-    /// Reconstructed runs not yet finalized.
-    pub open_runs: usize,
-    /// Runs classified so far.
-    pub classified_runs: usize,
-    /// Metrics over the closed/classified state — the same [`MetricSet`]
-    /// the batch pipeline computes, restricted to what has finalized.
-    pub metrics: MetricSet,
-    /// Per-source health (`[syslog, hwerr, alps, torque, netwatch]`).
-    pub health: [HealthReport; 5],
-    /// Quarantined lines dropped because the spill queue was full (see
-    /// [`StreamEngine::take_spilled`]).
-    pub spill_dropped: u64,
-}
+use crate::inline::{parse_body, InlineEngine, StreamError, StreamSnapshot};
+use crate::state::{cell_is_open, Body, HealthCells};
 
 /// How many lines ride in one channel message. Bounds per-chunk memory
-/// while amortizing channel and lock traffic ~256× relative to the old
+/// while amortizing channel and lock traffic ~256× relative to a
 /// line-at-a-time protocol.
 const PUSH_CHUNK: usize = 256;
 
-/// One chunk of raw lines on an input channel, each tagged with its
-/// per-source sequence number.
-type LineChunk = Vec<(u64, String)>;
+/// One chunk of raw lines on an input channel: the per-source line number
+/// of the first, then the lines.
+type LineChunk = (u64, Vec<String>);
 
 enum CoordMsg {
     Chunk {
         source: Source,
-        items: Vec<(u64, Body)>,
+        first: u64,
+        bodies: Vec<Body>,
     },
     ShardDone(Source),
 }
@@ -134,9 +71,10 @@ enum CoordMsg {
 #[derive(Debug)]
 pub struct StreamEngine {
     inputs: Vec<Vec<Sender<LineChunk>>>,
-    seqs: [u64; 5],
-    lateness: SimDuration,
-    core: Arc<Mutex<StreamCore>>,
+    /// Lines pushed per source; the core's applied count catches up as the
+    /// coordinator works through the chunks in flight.
+    pushed: [u64; 5],
+    core: Arc<Mutex<InlineEngine>>,
     cells: HealthCells,
     workers: Vec<JoinHandle<()>>,
     coordinator: Option<JoinHandle<()>>,
@@ -146,75 +84,39 @@ impl StreamEngine {
     /// Starts the engine: one parse worker per source, plus
     /// `config.syslog_shards` for syslog, plus the coordinator.
     pub fn new(config: StreamConfig) -> Self {
-        let cells = new_health_cells();
-        let core = StreamCore::new(config.clone(), Arc::clone(&cells));
-        Self::launch(config, core, cells, [0; 5], [true; 5])
+        Self::launch(InlineEngine::new(config))
     }
 
     /// Rebuilds an engine from a [`StreamCheckpoint`], resuming exactly
-    /// where the checkpointed engine left off: watermarks, reorder buffer,
-    /// open events and runs, counters, and health machines all carry over.
-    /// The caller feeds each source from
-    /// [`StreamCheckpoint::offset`] onward; the resumed engine's future
-    /// output equals an engine that never stopped.
+    /// where the checkpointed engine left off (see
+    /// [`InlineEngine::resume`]). The caller feeds each source from
+    /// [`StreamCheckpoint::offset`] onward.
     ///
     /// # Errors
     ///
-    /// [`ResumeError::LatenessMismatch`] when `config.lateness` differs
-    /// from the checkpoint's (the released watermark baked the old value
-    /// in), [`ResumeError::Malformed`] when the checkpoint's internal
-    /// arrays have the wrong shape.
+    /// Those of [`InlineEngine::resume`].
     pub fn resume(
         config: StreamConfig,
         checkpoint: &StreamCheckpoint,
     ) -> Result<Self, ResumeError> {
-        if config.lateness.as_secs() != checkpoint.lateness_secs {
-            return Err(ResumeError::LatenessMismatch {
-                checkpoint: checkpoint.lateness_secs,
-                config: config.lateness.as_secs(),
-            });
-        }
-        if checkpoint.core.health.len() != 5 || checkpoint.core.quarantine.len() != 5 {
-            return Err(ResumeError::Malformed(format!(
-                "expected 5 sources, found {} health / {} quarantine entries",
-                checkpoint.core.health.len(),
-                checkpoint.core.quarantine.len()
-            )));
-        }
-        let cells = new_health_cells();
-        let core =
-            StreamCore::from_state(config.clone(), Arc::clone(&cells), checkpoint.core.clone());
-        Ok(Self::launch(
-            config,
-            core,
-            cells,
-            checkpoint.core.next_seq,
-            checkpoint.core.open,
-        ))
+        Ok(Self::launch(InlineEngine::resume(config, checkpoint)?))
     }
 
-    fn launch(
-        config: StreamConfig,
-        core: StreamCore,
-        cells: HealthCells,
-        seqs: [u64; 5],
-        open: [bool; 5],
-    ) -> Self {
+    fn launch(engine: InlineEngine) -> Self {
+        let config = engine.core.config();
         let capacity = config.channel_capacity.max(1);
+        let mut shards = [1usize; 5];
+        shards[Source::Syslog.index()] = config.syslog_shards.max(1);
         let table = Arc::new(config.table.clone());
-        let core = Arc::new(Mutex::new(core));
+        let pushed = engine.pushed_all();
+        let cells = engine.core.cells();
         let (out_tx, out_rx) = bounded::<CoordMsg>(capacity);
 
         let mut inputs = Vec::with_capacity(5);
         let mut workers = Vec::new();
         for source in Source::ALL {
-            let shards = if source == Source::Syslog {
-                config.syslog_shards.max(1)
-            } else {
-                1
-            };
-            let mut senders = Vec::with_capacity(shards);
-            for _ in 0..shards {
+            let mut senders = Vec::with_capacity(shards[source.index()]);
+            for _ in 0..shards[source.index()] {
                 let (in_tx, in_rx) = bounded::<LineChunk>(capacity);
                 let tx = out_tx.clone();
                 let table = Arc::clone(&table);
@@ -226,20 +128,20 @@ impl StreamEngine {
             }
             // A source that was already closed at checkpoint time stays
             // closed: dropping the senders lets its workers finish.
-            if !open[source.index()] {
+            if !engine.core.is_open(source) {
                 senders.clear();
             }
             inputs.push(senders);
         }
         drop(out_tx);
 
-        let coord_core = Arc::clone(&core);
+        let core = Arc::new(Mutex::new(engine));
+        let shared = Arc::clone(&core);
         // lint: allow(thread-spawn) single coordinator thread applying seq-ordered records; determinism argument in DESIGN §10
-        let coordinator = std::thread::spawn(move || coordinate(&out_rx, &coord_core));
+        let coordinator = std::thread::spawn(move || coordinate(&out_rx, &shared, shards));
         StreamEngine {
             inputs,
-            seqs,
-            lateness: config.lateness,
+            pushed,
             core,
             cells,
             workers,
@@ -256,17 +158,7 @@ impl StreamEngine {
     /// source; [`StreamError::CircuitOpen`] while the source's circuit
     /// breaker is open.
     pub fn push(&mut self, source: Source, line: impl Into<String>) -> Result<(), StreamError> {
-        let i = source.index();
-        if self.inputs[i].is_empty() {
-            return Err(StreamError::SourceClosed(source));
-        }
-        if cell_is_open(&self.cells, i) {
-            self.core.lock().note_rejected(source);
-            return Err(StreamError::CircuitOpen(source));
-        }
-        let seq = self.seqs[i];
-        self.seqs[i] = seq + 1;
-        self.send_chunk(source, vec![(seq, line.into())])
+        self.push_batch(source, [line])
     }
 
     /// Feeds many lines to one source, bundling them into chunks of
@@ -289,43 +181,41 @@ impl StreamEngine {
         if self.inputs[i].is_empty() {
             return Err(StreamError::SourceClosed(source));
         }
-        let mut chunk: LineChunk = Vec::with_capacity(PUSH_CHUNK);
+        let lines = lines.into_iter();
+        let mut chunk = Vec::with_capacity(lines.size_hint().0.min(PUSH_CHUNK));
         for line in lines {
             if cell_is_open(&self.cells, i) {
-                if !chunk.is_empty() {
-                    self.send_chunk(source, chunk)?;
-                }
-                self.core.lock().note_rejected(source);
+                self.send_chunk(source, chunk)?;
+                self.core.lock().core.note_rejected(source);
                 return Err(StreamError::CircuitOpen(source));
             }
-            chunk.push((self.seqs[i], line.into()));
-            self.seqs[i] += 1;
+            chunk.push(line.into());
             if chunk.len() >= PUSH_CHUNK {
                 self.send_chunk(source, std::mem::take(&mut chunk))?;
                 chunk.reserve(PUSH_CHUNK);
             }
         }
-        if chunk.is_empty() {
-            Ok(())
-        } else {
-            self.send_chunk(source, chunk)
-        }
+        self.send_chunk(source, chunk)
     }
 
-    /// Routes one chunk to a shard. Chunks rotate over shards at chunk
-    /// granularity (first seq / chunk size), keeping runs of consecutive
-    /// lines on one worker for cache locality while still spreading load.
-    /// The caller advances `seqs` optimistically; a failed send (worker
-    /// gone) rolls the counter back so quiescence tracking stays exact.
-    fn send_chunk(&mut self, source: Source, chunk: LineChunk) -> Result<(), StreamError> {
+    /// Numbers one chunk and routes it to a shard. Chunks rotate over
+    /// shards at chunk granularity (first line / chunk size), keeping runs
+    /// of consecutive lines on one worker for cache locality while still
+    /// spreading load. `pushed` moves only once the chunk is in the
+    /// channel, so a failed send (worker gone) leaves it exact.
+    fn send_chunk(&mut self, source: Source, lines: Vec<String>) -> Result<(), StreamError> {
+        if lines.is_empty() {
+            return Ok(());
+        }
         let i = source.index();
         let senders = &self.inputs[i];
-        let shard = ((chunk[0].0 / PUSH_CHUNK as u64) % senders.len() as u64) as usize;
-        let n = chunk.len() as u64;
-        if senders[shard].send(chunk).is_err() {
-            self.seqs[i] -= n;
+        let first = self.pushed[i];
+        let shard = ((first / PUSH_CHUNK as u64) % senders.len() as u64) as usize;
+        let n = lines.len() as u64;
+        if senders[shard].send((first, lines)).is_err() {
             return Err(StreamError::SourceClosed(source));
         }
+        self.pushed[i] += n;
         Ok(())
     }
 
@@ -338,32 +228,15 @@ impl StreamEngine {
 
     /// Lines accepted per source so far.
     pub fn pushed(&self, source: Source) -> u64 {
-        self.seqs[source.index()]
+        self.pushed[source.index()]
     }
 
     /// Takes a live snapshot. Holds the state lock only long enough to
     /// clone the finalized runs and closed events; metrics are computed
     /// outside the lock.
     pub fn snapshot(&self) -> StreamSnapshot {
-        let (counters, runs, events) = {
-            let core = self.core.lock();
-            (core.counters(), core.finished_runs(), core.closed_events())
-        };
-        StreamSnapshot {
-            watermark: counters.watermark,
-            parse: counters.parse,
-            filter: counters.filter,
-            late_dropped: counters.late_dropped,
-            buffered_entries: counters.buffered_entries,
-            open_events: counters.open_events,
-            closed_events: counters.closed_events,
-            lethal_events: counters.lethal_events,
-            open_runs: counters.open_runs,
-            classified_runs: counters.classified_runs,
-            metrics: compute(&runs, &events),
-            health: counters.health,
-            spill_dropped: counters.spill_dropped,
-        }
+        let parts = self.core.lock().snapshot_parts();
+        StreamSnapshot::assemble(parts)
     }
 
     /// The corrupt-line quarantine for one source: total count and up to
@@ -374,27 +247,35 @@ impl StreamEngine {
 
     /// Current health of one source.
     pub fn health(&self, source: Source) -> HealthReport {
-        self.core.lock().health_report(source)
+        self.core.lock().health(source)
     }
 
     /// Half-opens an Open circuit so a bounded probe can flow. The driver
     /// calls this after waiting [`HealthReport::backoff_ms`]. Returns
     /// `false` (no-op) when the circuit is not open.
+    ///
+    /// Waits until the source's lines still in flight have been applied:
+    /// they were accepted before the circuit opened, and one of them
+    /// landing inside the probe window would fail a probe it is no part of.
     pub fn probe(&mut self, source: Source) -> bool {
-        self.core.lock().probe(source)
+        let i = source.index();
+        self.when_applied(
+            |applied| applied[i] == self.pushed[i],
+            |core| core.probe(source),
+        )
     }
 
     /// Driver verdict: the source is stalled (its file is not growing
     /// while others are). Degrades a Healthy source; see
     /// [`StreamEngine::mark_recovered`].
     pub fn mark_stalled(&mut self, source: Source) {
-        self.core.lock().mark_stalled(source);
+        self.core.lock().core.mark_stalled(source);
     }
 
     /// Driver verdict: the stall cleared. A source degraded only by the
     /// stall returns to Healthy.
     pub fn mark_recovered(&mut self, source: Source) {
-        self.core.lock().mark_recovered(source);
+        self.core.lock().core.mark_recovered(source);
     }
 
     /// Drains the quarantine spill queue (raw corrupt lines with their
@@ -412,16 +293,25 @@ impl StreamEngine {
     /// pure function of the consumed line prefixes; callers must pass
     /// offsets that match what they have pushed.
     pub fn checkpoint(&self, offsets: [u64; 5]) -> StreamCheckpoint {
+        self.when_applied(
+            |applied| *applied == self.pushed,
+            |core| core.checkpoint(offsets),
+        )
+    }
+
+    /// Runs `f` on the core once the coordinator has caught up as far as
+    /// `caught_up` (given the applied counts) asks, polling between lock
+    /// holds so the coordinator can get there.
+    fn when_applied<R>(
+        &self,
+        caught_up: impl Fn(&[u64; 5]) -> bool,
+        f: impl FnOnce(&mut InlineEngine) -> R,
+    ) -> R {
         loop {
             {
-                let core = self.core.lock();
-                if core.is_quiescent(&self.seqs) {
-                    return StreamCheckpoint {
-                        version: StreamCheckpoint::VERSION,
-                        lateness_secs: self.lateness.as_secs(),
-                        offsets,
-                        core: core.checkpoint_state(),
-                    };
+                let mut core = self.core.lock();
+                if caught_up(&core.pushed_all()) {
+                    return f(&mut core);
                 }
             }
             std::thread::sleep(std::time::Duration::from_micros(200));
@@ -441,11 +331,11 @@ impl StreamEngine {
         if let Some(handle) = self.coordinator.take() {
             let _ = handle.join();
         }
-        let core = Arc::try_unwrap(self.core)
+        Arc::try_unwrap(self.core)
             // lint: allow(no-panic) every worker and the coordinator were joined above, so this is the last Arc by construction
             .expect("all engine threads joined")
-            .into_inner();
-        core.finalize()
+            .into_inner()
+            .drain()
     }
 }
 
@@ -455,74 +345,89 @@ fn worker(
     input: &Receiver<LineChunk>,
     out: &Sender<CoordMsg>,
 ) {
-    for chunk in input.iter() {
-        let items: Vec<(u64, Body)> = chunk
+    for (first, lines) in input.iter() {
+        // A bad line's owned `String` moves straight into quarantine — the
+        // only per-line allocation left is the push-side one.
+        let bodies = lines
             .into_iter()
-            .map(|(seq, line)| {
-                let body = match parse_line(source, &line, table) {
-                    Some(parsed) => Body::Ok(parsed),
-                    // The owned line moves straight into quarantine — the
-                    // only per-line allocation left is the push-side one.
-                    None => Body::Bad(line),
-                };
-                (seq, body)
-            })
+            .map(|line| parse_body(source, line, table))
             .collect();
-        if out.send(CoordMsg::Chunk { source, items }).is_err() {
+        let msg = CoordMsg::Chunk {
+            source,
+            first,
+            bodies,
+        };
+        if out.send(msg).is_err() {
             return;
         }
     }
     let _ = out.send(CoordMsg::ShardDone(source));
 }
 
-/// Parses one raw line with the batch pipeline's rules: blank lines are
-/// corrupt; entry sources run the filter right here so the pattern table's
-/// substring scans parallelize across shards. Runs entirely on the
-/// zero-copy byte parsers — `None` means the caller still owns the raw
-/// line and should quarantine it.
-pub(crate) fn parse_line(source: Source, line: &str, table: &PatternTable) -> Option<Parsed> {
-    let bytes = line.as_bytes();
-    // Same decision as the old `line.trim().is_empty()`: non-ASCII
-    // whitespace falls through to the parser, which rejects it anyway.
-    if bytes.iter().all(u8::is_ascii_whitespace) {
-        return None;
+/// The ordering state only out-of-order arrival makes necessary: chunks
+/// that a faster shard finished ahead of their turn, and how many shards
+/// of each source are still running. The core's applied count is the line
+/// number expected next, so none is kept here.
+struct Resequencer {
+    held: [BTreeMap<u64, Vec<Body>>; 5],
+    shards_left: [usize; 5],
+}
+
+impl Resequencer {
+    fn new(shards: [usize; 5]) -> Self {
+        Resequencer {
+            held: Default::default(),
+            shards_left: shards,
+        }
     }
-    match source {
-        Source::Syslog => RawSyslog::parse_bytes(bytes).ok().map(|raw| {
-            let timestamp = raw.timestamp.decode();
-            Parsed::Syslog {
-                timestamp,
-                entry: entry_from_syslog_bytes(timestamp, raw.host, raw.message, table),
+
+    /// Applies a chunk when it is next in line for its source (then every
+    /// held chunk that follows on), holds it otherwise. A source closes
+    /// when its last shard reports: each shard sends its chunks before its
+    /// `ShardDone`, so by then nothing of the source is held.
+    fn deliver(&mut self, engine: &mut InlineEngine, msg: CoordMsg) {
+        match msg {
+            CoordMsg::Chunk {
+                source,
+                first,
+                bodies,
+            } => {
+                let held = &mut self.held[source.index()];
+                if first != engine.pushed(source) {
+                    held.insert(first, bodies);
+                    return;
+                }
+                let mut next = Some(bodies);
+                while let Some(bodies) = next {
+                    for body in bodies {
+                        engine.core.apply(source, body);
+                    }
+                    next = held.remove(&engine.pushed(source));
+                }
             }
-        }),
-        Source::HwErr => RawHwErr::parse_bytes(bytes).ok().map(|raw| {
-            Parsed::HwErr(FilteredEntry {
-                timestamp: raw.timestamp.decode(),
-                category: raw.category,
-                severity: raw.severity,
-                node: Some(raw.location.to_nid()),
-                source: EntrySource::HwErr,
-            })
-        }),
-        Source::Alps => AlpsRecord::parse_bytes(bytes).ok().map(Parsed::Alps),
-        Source::Torque => TorqueRecord::parse_bytes(bytes).ok().map(Parsed::Torque),
-        Source::Netwatch => NetwatchRecord::parse_bytes(bytes)
-            .ok()
-            .map(|rec| Parsed::Netwatch(entry_from_netwatch(&rec))),
+            CoordMsg::ShardDone(source) => {
+                let left = &mut self.shards_left[source.index()];
+                *left -= 1;
+                if *left == 0 {
+                    engine.close(source);
+                }
+            }
+        }
     }
 }
 
-fn coordinate(input: &Receiver<CoordMsg>, core: &Mutex<StreamCore>) {
+fn coordinate(input: &Receiver<CoordMsg>, core: &Mutex<InlineEngine>, shards: [usize; 5]) {
+    let mut resequencer = Resequencer::new(shards);
     loop {
         let Ok(first) = input.recv() else { return };
         let mut guard = core.lock();
-        deliver(&mut guard, first);
+        resequencer.deliver(&mut guard, first);
         // Batch whatever else is already queued under one lock hold, then
-        // advance the watermarks once. Each message is now a whole chunk,
-        // so the bound stays small to keep snapshot() latency low.
+        // advance the watermarks once. Each message is a whole chunk, so
+        // the bound stays small to keep snapshot() latency low.
         for _ in 0..15 {
             match input.try_recv() {
-                Ok(msg) => deliver(&mut guard, msg),
+                Ok(msg) => resequencer.deliver(&mut guard, msg),
                 Err(_) => break,
             }
         }
@@ -530,13 +435,116 @@ fn coordinate(input: &Receiver<CoordMsg>, core: &Mutex<StreamCore>) {
     }
 }
 
-fn deliver(core: &mut StreamCore, msg: CoordMsg) {
-    match msg {
-        CoordMsg::Chunk { source, items } => {
-            for (seq, body) in items {
-                core.accept(source, seq, body);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CHUNKS: usize = 4;
+    const PER_CHUNK: usize = 3;
+
+    /// Twelve syslog lines in line order: per chunk one kept error, one
+    /// line of chatter and one torn line, so the quarantine ring shows the
+    /// order lines were applied in.
+    fn lines() -> Vec<String> {
+        (0..CHUNKS)
+            .flat_map(|c| {
+                [
+                    format!(
+                        "2013-03-28 12:0{c}:00 nid0000{c} kernel: Machine Check Exception: bank {c}"
+                    ),
+                    format!("2013-03-28 12:0{c}:30 nid00050 ntpd: time slew +0.0{c}s"),
+                    format!("torn line {c}"),
+                ]
+            })
+            .collect()
+    }
+
+    fn chunk(lines: &[String], c: usize, table: &PatternTable) -> CoordMsg {
+        let bodies = lines[c * PER_CHUNK..(c + 1) * PER_CHUNK]
+            .iter()
+            .map(|line| parse_body(Source::Syslog, line.as_str(), table))
+            .collect();
+        CoordMsg::Chunk {
+            source: Source::Syslog,
+            first: (c * PER_CHUNK) as u64,
+            bodies,
+        }
+    }
+
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for shorter in permutations(n - 1) {
+            for at in 0..=shorter.len() {
+                let mut longer = shorter.clone();
+                longer.insert(at, n - 1);
+                out.push(longer);
             }
         }
-        CoordMsg::ShardDone(source) => core.shard_done(source),
+        out
+    }
+
+    #[test]
+    fn chunks_in_any_order_apply_in_line_order_and_the_last_shard_closes() {
+        let lines = lines();
+        let torn: Vec<String> = (0..CHUNKS).map(|c| format!("torn line {c}")).collect();
+        for shards in [1usize, 2, 4] {
+            let config = StreamConfig::default().with_syslog_shards(shards);
+            let want = {
+                let mut inline = InlineEngine::new(config.clone());
+                for line in &lines {
+                    inline.push(Source::Syslog, line).unwrap();
+                }
+                inline.checkpoint([0; 5]).to_bytes()
+            };
+            let orders = permutations(CHUNKS);
+            assert_eq!(orders.len(), 24);
+            for order in orders {
+                let mut engine = InlineEngine::new(config.clone());
+                let mut resequencer = Resequencer::new([shards, 1, 1, 1, 1]);
+                // Shards that got no chunk finish first; the source must
+                // stay open for the one still working.
+                for _ in 1..shards {
+                    resequencer.deliver(&mut engine, CoordMsg::ShardDone(Source::Syslog));
+                }
+                let mut arrived = [false; CHUNKS];
+                for &c in &order {
+                    let msg = chunk(&lines, c, &config.table);
+                    resequencer.deliver(&mut engine, msg);
+                    arrived[c] = true;
+                    let in_line = arrived.iter().take_while(|a| **a).count();
+                    assert_eq!(
+                        engine.pushed(Source::Syslog),
+                        (in_line * PER_CHUNK) as u64,
+                        "order {order:?}: applied exactly the chunks with no gap before them"
+                    );
+                }
+                assert_eq!(
+                    engine.quarantined(Source::Syslog).1,
+                    torn,
+                    "order {order:?}"
+                );
+                assert!(engine.core.is_open(Source::Syslog));
+                // applied == pushed: the checkpoint is the inline engine's.
+                assert_eq!(engine.pushed(Source::Syslog), lines.len() as u64);
+                assert_eq!(
+                    engine.checkpoint([0; 5]).to_bytes(),
+                    want,
+                    "order {order:?}"
+                );
+                resequencer.deliver(&mut engine, CoordMsg::ShardDone(Source::Syslog));
+                assert!(!engine.core.is_open(Source::Syslog));
+                for other in [
+                    Source::HwErr,
+                    Source::Alps,
+                    Source::Torque,
+                    Source::Netwatch,
+                ] {
+                    assert!(engine.core.is_open(other));
+                }
+            }
+        }
     }
 }

@@ -1,42 +1,188 @@
-//! A thread-free embedding of the streaming engine.
+//! The engine core: one single-threaded state machine, embedded directly.
 //!
-//! [`StreamEngine`](crate::StreamEngine) is the right shape for one
-//! process ingesting one machine: a parse-worker pool plus a coordinator
-//! thread. A daemon hosting hundreds of *tenants* cannot afford seven
-//! threads each — `logdiver-serve` instead wraps one [`InlineEngine`] per
-//! tenant and shards the tenants themselves across the batch pipeline's
-//! work-stealing executor ([`logdiver::exec::par_map`]).
+//! [`InlineEngine`] owns the [`StreamCore`] and runs parse → filter →
+//! apply → advance synchronously on the calling thread. It is the only
+//! place that knows how an engine is resumed, snapshotted, checkpointed,
+//! previewed and drained; [`StreamEngine`](crate::StreamEngine) is a
+//! parse-worker shell that keeps one of these behind a mutex and feeds it
+//! already-parsed lines.
 //!
-//! The inline engine owns a [`StreamCore`] directly and runs parse →
-//! filter → accept → advance synchronously on the calling thread. Because
-//! every push applies immediately in per-source sequence order, the engine
-//! is *always quiescent*: [`InlineEngine::checkpoint`] never waits, and
+//! Used on its own it is the right shape for a daemon hosting hundreds of
+//! *tenants*, which cannot afford seven threads each: `logdiver-serve`
+//! wraps one per tenant and shards the tenants themselves across the batch
+//! pipeline's work-stealing executor ([`logdiver::exec::par_map`]).
+//!
+//! Because every push applies immediately, the engine is *always
+//! quiescent*: [`InlineEngine::checkpoint`] never waits, and
 //! [`InlineEngine::preview`] can materialize the full batch-equivalent
 //! analysis at any time without consuming the engine (it round-trips the
 //! open state through the checkpoint serializer into a scratch core and
 //! finalizes that).
 //!
-//! Output is identical to the threaded engine's — both funnel every state
-//! transition through the same [`StreamCore::accept`]/
-//! [`StreamCore::advance`] pair, which the stream==batch equivalence
-//! proptests pin down — so `drain()` equals
-//! [`logdiver::LogDiver::analyze`] on the same lines for any chunking
-//! within the lateness allowance.
+//! `drain()` equals [`logdiver::LogDiver::analyze`] on the same lines for
+//! any chunking within the lateness allowance — the stream==batch
+//! equivalence proptests pin that down for both ways of driving the core.
 
+use craylog::alps::AlpsRecord;
+use craylog::hwerr::RawHwErr;
+use craylog::netwatch::NetwatchRecord;
+use craylog::syslog::RawSyslog;
+use craylog::torque::TorqueRecord;
+use logdiver::classify::ClassifiedRun;
+use logdiver::coalesce::ErrorEvent;
+use logdiver::filter::{
+    entry_from_netwatch, entry_from_syslog_bytes, EntrySource, FilterStats, FilteredEntry,
+    PatternTable,
+};
+use logdiver::metrics::{compute, MetricSet};
+use logdiver::parse::ParseCounts;
 use logdiver::pipeline::Analysis;
-use logdiver_types::SimDuration;
+use logdiver_types::Timestamp;
 
 use crate::checkpoint::{ResumeError, StreamCheckpoint};
 use crate::config::{Source, StreamConfig};
-use crate::engine::{parse_line, StreamError, StreamSnapshot};
 use crate::health::HealthReport;
-use crate::state::{cell_is_open, new_health_cells, Body, HealthCells, StreamCore};
+use crate::state::{Body, Counters, Parsed, StreamCore};
 
-/// How many accepted records may elapse between watermark advances. The
-/// threaded coordinator batches up to 256 deliveries per lock hold; the
-/// inline engine amortizes the same way. Advance cadence affects only
-/// *when* events close, never *what* closes — the equivalence proptests
-/// hold for any cadence.
+/// Errors the push API can report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamError {
+    /// The source was closed with `close`; no more lines can be pushed to
+    /// it.
+    SourceClosed(Source),
+    /// The source's circuit breaker is open: the line was rejected (and
+    /// counted). Wait [`HealthReport::backoff_ms`], call `probe`, then
+    /// retry.
+    CircuitOpen(Source),
+}
+
+impl std::fmt::Display for StreamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamError::SourceClosed(s) => write!(f, "source {} is closed", s.name()),
+            StreamError::CircuitOpen(s) => {
+                write!(f, "source {}: circuit breaker is open", s.name())
+            }
+        }
+    }
+}
+
+impl std::error::Error for StreamError {}
+
+/// A live view of the engine, cheap to take while ingestion continues.
+#[derive(Debug, Clone)]
+pub struct StreamSnapshot {
+    /// The run watermark: everything older is fully processed. `None`
+    /// until every open source has produced at least one record.
+    pub watermark: Option<Timestamp>,
+    /// Per-source parse accounting (`[syslog, hwerr, alps, torque,
+    /// netwatch]`); `bad` is the corrupt-line quarantine counter.
+    pub parse: [ParseCounts; 5],
+    /// Filter accounting so far.
+    pub filter: FilterStats,
+    /// Entries that arrived later than the allowed lateness and were
+    /// skipped.
+    pub late_dropped: u64,
+    /// Entries waiting in the reorder buffer.
+    pub buffered_entries: usize,
+    /// Error events still open in the coalescer.
+    pub open_events: usize,
+    /// Error events closed and indexed.
+    pub closed_events: usize,
+    /// Of those, lethal events.
+    pub lethal_events: u64,
+    /// Reconstructed runs not yet finalized.
+    pub open_runs: usize,
+    /// Runs classified so far.
+    pub classified_runs: usize,
+    /// Metrics over the closed/classified state — the same [`MetricSet`]
+    /// the batch pipeline computes, restricted to what has finalized.
+    pub metrics: MetricSet,
+    /// Per-source health (`[syslog, hwerr, alps, torque, netwatch]`).
+    pub health: [HealthReport; 5],
+    /// Quarantined lines dropped because the spill queue was full (see
+    /// [`InlineEngine::take_spilled`]).
+    pub spill_dropped: u64,
+}
+
+/// What a snapshot is made of, as copied out of the core.
+pub(crate) type SnapshotParts = (Counters, Vec<ClassifiedRun>, Vec<ErrorEvent>);
+
+impl StreamSnapshot {
+    /// Computes the metrics — which is why this is apart from
+    /// [`InlineEngine::snapshot_parts`]: the threaded engine releases its
+    /// lock in between.
+    pub(crate) fn assemble((counters, runs, events): SnapshotParts) -> Self {
+        StreamSnapshot {
+            watermark: counters.watermark,
+            parse: counters.parse,
+            filter: counters.filter,
+            late_dropped: counters.late_dropped,
+            buffered_entries: counters.buffered_entries,
+            open_events: counters.open_events,
+            closed_events: counters.closed_events,
+            lethal_events: counters.lethal_events,
+            open_runs: counters.open_runs,
+            classified_runs: counters.classified_runs,
+            metrics: compute(&runs, &events),
+            health: counters.health,
+            spill_dropped: counters.spill_dropped,
+        }
+    }
+}
+
+/// One raw line to the verdict the core applies. An owned line that does
+/// not parse moves into quarantine as it is; a borrowed one is copied only
+/// then.
+pub(crate) fn parse_body<L>(source: Source, line: L, table: &PatternTable) -> Body
+where
+    L: AsRef<str> + Into<String>,
+{
+    match parse_line(source, line.as_ref(), table) {
+        Some(parsed) => Body::Ok(parsed),
+        None => Body::Bad(line.into()),
+    }
+}
+
+/// Parses one raw line with the batch pipeline's rules: blank lines are
+/// corrupt; entry sources run the filter right here, so in the threaded
+/// engine the pattern table's substring scans parallelize across shards.
+/// Runs entirely on the zero-copy byte parsers.
+fn parse_line(source: Source, line: &str, table: &PatternTable) -> Option<Parsed> {
+    let bytes = line.as_bytes();
+    // Same decision as `line.trim().is_empty()`: non-ASCII whitespace
+    // falls through to the parser, which rejects it anyway.
+    if bytes.iter().all(u8::is_ascii_whitespace) {
+        return None;
+    }
+    match source {
+        Source::Syslog => RawSyslog::parse_bytes(bytes).ok().map(|raw| {
+            let timestamp = raw.timestamp.decode();
+            Parsed::Syslog {
+                timestamp,
+                entry: entry_from_syslog_bytes(timestamp, raw.host, raw.message, table),
+            }
+        }),
+        Source::HwErr => RawHwErr::parse_bytes(bytes).ok().map(|raw| {
+            Parsed::HwErr(FilteredEntry {
+                timestamp: raw.timestamp.decode(),
+                category: raw.category,
+                severity: raw.severity,
+                node: Some(raw.location.to_nid()),
+                source: EntrySource::HwErr,
+            })
+        }),
+        Source::Alps => AlpsRecord::parse_bytes(bytes).ok().map(Parsed::Alps),
+        Source::Torque => TorqueRecord::parse_bytes(bytes).ok().map(Parsed::Torque),
+        Source::Netwatch => NetwatchRecord::parse_bytes(bytes)
+            .ok()
+            .map(|rec| Parsed::Netwatch(entry_from_netwatch(&rec))),
+    }
+}
+
+/// How many pushed lines may elapse between watermark advances. Advance
+/// cadence affects only *when* events close, never *what* closes — the
+/// equivalence proptests hold for any cadence.
 const ADVANCE_EVERY: u32 = 64;
 
 /// Rough per-item open-state costs for [`InlineEngine::open_cost`], in
@@ -51,38 +197,35 @@ const COST_CLASSIFIED_RUN: usize = 416;
 const COST_QUARANTINED_LINE: usize = 160;
 
 /// A synchronous, single-threaded streaming engine: same pipeline, same
-/// output, no threads. One per tenant in `logdiver-serve`.
+/// output, no threads. One per tenant in `logdiver-serve`, one behind the
+/// coordinator's mutex in [`StreamEngine`](crate::StreamEngine).
 #[derive(Debug)]
 pub struct InlineEngine {
-    config: StreamConfig,
-    core: StreamCore,
-    cells: HealthCells,
-    seqs: [u64; 5],
-    open: [bool; 5],
-    shards: [usize; 5],
-    lateness: SimDuration,
+    pub(crate) core: StreamCore,
     since_advance: u32,
 }
 
 impl InlineEngine {
     /// A fresh engine with the given configuration.
     pub fn new(config: StreamConfig) -> Self {
-        let cells = new_health_cells();
-        let core = StreamCore::new(config.clone(), cells.clone());
-        Self::build(config, core, cells, [0; 5], [true; 5])
+        InlineEngine {
+            core: StreamCore::new(config),
+            since_advance: 0,
+        }
     }
 
-    /// Rebuilds an engine from a [`StreamCheckpoint`], exactly as
-    /// [`crate::StreamEngine::resume`] does: watermarks, reorder buffer,
-    /// open events and runs, counters, and health machines all carry over,
-    /// and the resumed engine's future output equals an engine that never
-    /// stopped.
+    /// Rebuilds an engine from a [`StreamCheckpoint`]: watermarks, reorder
+    /// buffer, open events and runs, counters, and health machines all
+    /// carry over, and the resumed engine's future output equals an engine
+    /// that never stopped. The caller feeds each source from
+    /// [`StreamCheckpoint::offset`] onward.
     ///
     /// # Errors
     ///
     /// [`ResumeError::LatenessMismatch`] when `config.lateness` differs
-    /// from the checkpoint's, [`ResumeError::Malformed`] when the
-    /// checkpoint's internal arrays have the wrong shape.
+    /// from the checkpoint's (the released watermark baked the old value
+    /// in), [`ResumeError::Malformed`] when the checkpoint's internal
+    /// arrays have the wrong shape.
     pub fn resume(
         config: StreamConfig,
         checkpoint: &StreamCheckpoint,
@@ -100,37 +243,10 @@ impl InlineEngine {
                 checkpoint.core.quarantine.len()
             )));
         }
-        let cells = new_health_cells();
-        let core = StreamCore::from_state(config.clone(), cells.clone(), checkpoint.core.clone());
-        Ok(Self::build(
-            config,
-            core,
-            cells,
-            checkpoint.core.next_seq,
-            checkpoint.core.open,
-        ))
-    }
-
-    fn build(
-        config: StreamConfig,
-        core: StreamCore,
-        cells: HealthCells,
-        seqs: [u64; 5],
-        open: [bool; 5],
-    ) -> Self {
-        let mut shards = [1usize; 5];
-        shards[Source::Syslog.index()] = config.syslog_shards.max(1);
-        let lateness = config.lateness;
-        InlineEngine {
-            config,
-            core,
-            cells,
-            seqs,
-            open,
-            shards,
-            lateness,
+        Ok(InlineEngine {
+            core: StreamCore::from_state(config, checkpoint.core.clone()),
             since_advance: 0,
-        }
+        })
     }
 
     /// Parses, filters, and applies one raw line synchronously.
@@ -141,21 +257,10 @@ impl InlineEngine {
     /// source; [`StreamError::CircuitOpen`] while the source's circuit
     /// breaker is open (the line is rejected and counted).
     pub fn push(&mut self, source: Source, line: &str) -> Result<(), StreamError> {
-        let i = source.index();
-        if !self.open[i] {
+        if !self.core.is_open(source) {
             return Err(StreamError::SourceClosed(source));
         }
-        if cell_is_open(&self.cells, i) {
-            self.core.note_rejected(source);
-            return Err(StreamError::CircuitOpen(source));
-        }
-        let body = match parse_line(source, line, &self.config.table) {
-            Some(parsed) => Body::Ok(parsed),
-            None => Body::Bad(line.to_string()),
-        };
-        let seq = self.seqs[i];
-        self.core.accept(source, seq, body);
-        self.seqs[i] = seq + 1;
+        self.ingest(source, line)?;
         self.since_advance += 1;
         if self.since_advance >= ADVANCE_EVERY {
             self.advance();
@@ -165,9 +270,8 @@ impl InlineEngine {
 
     /// Parses, filters, and applies a run of raw lines for one source,
     /// advancing the watermarks once at the end instead of every
-    /// [`ADVANCE_EVERY`] lines — the inline analogue of the threaded
-    /// engine's chunked channel protocol. Returns how many lines were
-    /// accepted; on a mid-chunk circuit trip the prefix stays applied.
+    /// [`ADVANCE_EVERY`] lines. Returns how many lines were accepted; on a
+    /// mid-chunk circuit trip the prefix stays applied.
     ///
     /// # Errors
     ///
@@ -179,28 +283,25 @@ impl InlineEngine {
         source: Source,
         lines: impl IntoIterator<Item = &'a str>,
     ) -> Result<usize, StreamError> {
-        let i = source.index();
-        if !self.open[i] {
+        if !self.core.is_open(source) {
             return Err(StreamError::SourceClosed(source));
         }
-        let mut accepted = 0usize;
-        for line in lines {
-            if cell_is_open(&self.cells, i) {
-                self.advance();
-                self.core.note_rejected(source);
-                return Err(StreamError::CircuitOpen(source));
-            }
-            let body = match parse_line(source, line, &self.config.table) {
-                Some(parsed) => Body::Ok(parsed),
-                None => Body::Bad(line.to_string()),
-            };
-            let seq = self.seqs[i];
-            self.core.accept(source, seq, body);
-            self.seqs[i] = seq + 1;
-            accepted += 1;
-        }
+        let accepted = lines
+            .into_iter()
+            .try_fold(0, |n, line| self.ingest(source, line).map(|()| n + 1));
         self.advance();
-        Ok(accepted)
+        accepted
+    }
+
+    /// One line through the breaker check, the parser and the core.
+    fn ingest(&mut self, source: Source, line: &str) -> Result<(), StreamError> {
+        if self.core.circuit_open(source) {
+            self.core.note_rejected(source);
+            return Err(StreamError::CircuitOpen(source));
+        }
+        let body = parse_body(source, line, &self.core.config().table);
+        self.core.apply(source, body);
+        Ok(())
     }
 
     /// Advances the watermarks now: releases ripe entries, closes events,
@@ -213,48 +314,31 @@ impl InlineEngine {
 
     /// Declares a source exhausted: it stops holding the watermarks down.
     pub fn close(&mut self, source: Source) {
-        let i = source.index();
-        if !self.open[i] {
-            return;
-        }
-        self.open[i] = false;
-        for _ in 0..self.shards[i] {
-            self.core.shard_done(source);
-        }
+        self.core.close(source);
     }
 
-    /// Lines accepted per source so far (the client's resume cursor).
+    /// Lines applied per source so far (the client's resume cursor).
     pub fn pushed(&self, source: Source) -> u64 {
-        self.seqs[source.index()]
+        self.core.applied()[source.index()]
     }
 
-    /// All five per-source accepted-line counts, in [`Source::ALL`] order.
+    /// All five per-source applied-line counts, in [`Source::ALL`] order.
     pub fn pushed_all(&self) -> [u64; 5] {
-        self.seqs
+        self.core.applied()
     }
 
-    /// A live snapshot — the same [`StreamSnapshot`] the threaded engine
-    /// produces, with metrics over the closed/classified state.
+    /// A live snapshot, with metrics over the closed/classified state.
     pub fn snapshot(&mut self) -> StreamSnapshot {
+        StreamSnapshot::assemble(self.snapshot_parts())
+    }
+
+    pub(crate) fn snapshot_parts(&mut self) -> SnapshotParts {
         self.advance();
-        let counters = self.core.counters();
-        let runs = self.core.finished_runs();
-        let events = self.core.closed_events();
-        StreamSnapshot {
-            watermark: counters.watermark,
-            parse: counters.parse,
-            filter: counters.filter,
-            late_dropped: counters.late_dropped,
-            buffered_entries: counters.buffered_entries,
-            open_events: counters.open_events,
-            closed_events: counters.closed_events,
-            lethal_events: counters.lethal_events,
-            open_runs: counters.open_runs,
-            classified_runs: counters.classified_runs,
-            metrics: logdiver::metrics::compute(&runs, &events),
-            health: counters.health,
-            spill_dropped: counters.spill_dropped,
-        }
+        (
+            self.core.counters(),
+            self.core.finished_runs(),
+            self.core.closed_events(),
+        )
     }
 
     /// Current health of one source.
@@ -262,18 +346,21 @@ impl InlineEngine {
         self.core.health_report(source)
     }
 
-    /// Half-opens an Open circuit so a bounded probe can flow.
+    /// Half-opens an Open circuit so a bounded probe can flow. Returns
+    /// `false` (no-op) when the circuit is not open.
     pub fn probe(&mut self, source: Source) -> bool {
         self.core.probe(source)
     }
 
-    /// The corrupt-line quarantine for one source.
+    /// The corrupt-line quarantine for one source: total count and up to
+    /// `quarantine_keep` most recent raw lines.
     pub fn quarantined(&self, source: Source) -> (u64, Vec<String>) {
         self.core.quarantined(source)
     }
 
-    /// Drains the quarantine spill queue (see
-    /// [`crate::StreamConfig::spill_quarantined`]).
+    /// Drains the quarantine spill queue (raw corrupt lines with their
+    /// source), in arrival order. Only populated when
+    /// [`crate::StreamConfig::spill_quarantined`] is set.
     pub fn take_spilled(&mut self) -> Vec<(Source, String)> {
         self.core.take_spilled()
     }
@@ -297,15 +384,16 @@ impl InlineEngine {
             + quarantined * COST_QUARANTINED_LINE
     }
 
-    /// Captures a [`StreamCheckpoint`]. The inline engine is always
-    /// quiescent, so this never waits. `offsets` is the caller's resume
-    /// cursor per source — `logdiver-serve` stores accepted *line counts*
-    /// there rather than byte offsets (the push API has no files).
+    /// Captures a [`StreamCheckpoint`]: a pure function of the lines
+    /// applied so far. `offsets` is the caller's resume cursor per source
+    /// (in [`Source::ALL`] order) — byte offsets for a file feeder, while
+    /// `logdiver-serve` stores accepted *line counts* there (the push API
+    /// has no files).
     pub fn checkpoint(&mut self, offsets: [u64; 5]) -> StreamCheckpoint {
         self.advance();
         StreamCheckpoint {
             version: StreamCheckpoint::VERSION,
-            lateness_secs: self.lateness.as_secs(),
+            lateness_secs: self.core.config().lateness.as_secs(),
             offsets,
             core: self.core.checkpoint_state(),
         }
@@ -319,16 +407,12 @@ impl InlineEngine {
     pub fn preview(&mut self) -> Analysis {
         self.advance();
         let state = self.core.checkpoint_state();
-        let cells = new_health_cells();
-        StreamCore::from_state(self.config.clone(), cells, state).finalize()
+        StreamCore::from_state(self.core.config().clone(), state).finalize()
     }
 
     /// Closes every source and produces the full analysis — equal to
     /// [`logdiver::LogDiver::analyze`] on the same lines.
-    pub fn drain(mut self) -> Analysis {
-        for source in Source::ALL {
-            self.close(source);
-        }
+    pub fn drain(self) -> Analysis {
         self.core.finalize()
     }
 }
@@ -337,6 +421,7 @@ impl InlineEngine {
 mod tests {
     use super::*;
     use logdiver::{LogCollection, LogDiver};
+    use logdiver_types::SimDuration;
 
     fn scenario() -> LogCollection {
         let mut logs = LogCollection::new();

@@ -60,10 +60,10 @@ pub mod tail;
 
 pub use checkpoint::{ResumeError, StreamCheckpoint};
 pub use config::{Source, StreamConfig};
-pub use engine::{StreamEngine, StreamError, StreamSnapshot};
+pub use engine::StreamEngine;
 pub use health::{HealthPolicy, HealthReport, SourceHealth};
 pub use index::StreamIndex;
-pub use inline::InlineEngine;
+pub use inline::{InlineEngine, StreamError, StreamSnapshot};
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,12 @@
-//! The coordinator state machine: sequencing, watermarks, and the
+//! The engine state machine: per-source progress, watermarks, and the
 //! incremental pipeline.
 //!
-//! Everything here is single-threaded and deterministic. The engine's
-//! worker threads only parse; every state transition funnels through
-//! [`StreamCore::accept`] (per-source sequence order) and
-//! [`StreamCore::advance`] (watermark progress), so the final analysis is
-//! independent of thread scheduling.
+//! Everything here is single-threaded and deterministic. Every state
+//! transition funnels through [`StreamCore::apply`] (one parsed line, in
+//! per-source line order) and [`StreamCore::advance`] (watermark
+//! progress). The threaded engine's workers only parse, and its
+//! coordinator puts their chunks back in line order before applying them,
+//! so the final analysis is independent of thread scheduling.
 //!
 //! ## Watermarks
 //!
@@ -51,11 +52,7 @@ use crate::index::StreamIndex;
 /// without taking the core lock.
 pub(crate) type HealthCells = Arc<[AtomicU8; 5]>;
 
-pub(crate) fn new_health_cells() -> HealthCells {
-    Arc::new([const { AtomicU8::new(0) }; 5])
-}
-
-pub(crate) fn cell_encode(state: SourceHealth) -> u8 {
+fn cell_encode(state: SourceHealth) -> u8 {
     match state {
         SourceHealth::Healthy => 0,
         SourceHealth::Degraded => 1,
@@ -136,13 +133,10 @@ pub(crate) struct Counters {
 #[derive(Debug)]
 pub(crate) struct StreamCore {
     config: StreamConfig,
-    // Per-source sequencing and progress (canonical source order).
-    next_seq: [u64; 5],
-    pending: [BTreeMap<u64, Body>; 5],
+    // Per-source applied-line count and progress (canonical source order).
+    applied: [u64; 5],
     progress: [Option<Timestamp>; 5],
     open: [bool; 5],
-    shards: [usize; 5],
-    done_shards: [usize; 5],
     counts: [ParseCounts; 5],
     quarantine: [VecDeque<String>; 5],
     filter_stats: FilterStats,
@@ -170,18 +164,13 @@ pub(crate) struct StreamCore {
 }
 
 impl StreamCore {
-    pub(crate) fn new(config: StreamConfig, cells: HealthCells) -> Self {
+    pub(crate) fn new(config: StreamConfig) -> Self {
         let gap = config.logdiver.coalesce_gap;
-        let mut shards = [1usize; 5];
-        shards[Source::Syslog.index()] = config.syslog_shards.max(1);
         StreamCore {
             config,
-            next_seq: [0; 5],
-            pending: Default::default(),
+            applied: [0; 5],
             progress: [None; 5],
             open: [true; 5],
-            shards,
-            done_shards: [0; 5],
             counts: [ParseCounts::default(); 5],
             quarantine: Default::default(),
             filter_stats: FilterStats::default(),
@@ -195,40 +184,46 @@ impl StreamCore {
             done: BTreeMap::new(),
             coverage: CoverageMap::new(CoverageConfig::default()),
             health: Default::default(),
-            cells,
+            cells: Arc::new([const { AtomicU8::new(0) }; 5]),
             spill: VecDeque::new(),
             spill_dropped: 0,
         }
     }
 
-    /// Accepts one worker result, applying it (and any held-back
-    /// successors) in per-source sequence order.
-    pub(crate) fn accept(&mut self, source: Source, seq: u64, body: Body) {
-        let i = source.index();
-        if seq != self.next_seq[i] {
-            self.pending[i].insert(seq, body);
-            return;
-        }
-        self.apply(source, body);
-        self.next_seq[i] += 1;
-        while let Some(held) = self.pending[i].remove(&self.next_seq[i]) {
-            self.apply(source, held);
-            self.next_seq[i] += 1;
-        }
+    pub(crate) fn config(&self) -> &StreamConfig {
+        &self.config
     }
 
-    /// Records that one parse shard of `source` has exhausted its input.
-    /// When the last shard finishes, the source stops gating watermarks.
-    pub(crate) fn shard_done(&mut self, source: Source) {
-        let i = source.index();
-        self.done_shards[i] += 1;
-        if self.done_shards[i] >= self.shards[i] {
-            self.open[i] = false;
-        }
+    /// Lines applied per source so far, in [`Source::ALL`] order. The
+    /// `n`-th line a caller applies to a source is line `n` of that source.
+    pub(crate) fn applied(&self) -> [u64; 5] {
+        self.applied
     }
 
-    fn apply(&mut self, source: Source, body: Body) {
+    pub(crate) fn is_open(&self, source: Source) -> bool {
+        self.open[source.index()]
+    }
+
+    /// The source has no more input: it stops gating the watermarks.
+    pub(crate) fn close(&mut self, source: Source) {
+        self.open[source.index()] = false;
+    }
+
+    /// True while the source's circuit breaker rejects pushes.
+    pub(crate) fn circuit_open(&self, source: Source) -> bool {
+        self.health[source.index()].state == SourceHealth::Open
+    }
+
+    /// The lock-free health mirror (see [`HealthCells`]).
+    pub(crate) fn cells(&self) -> HealthCells {
+        Arc::clone(&self.cells)
+    }
+
+    /// Applies the next line of `source`. Callers deliver each source's
+    /// lines in line order.
+    pub(crate) fn apply(&mut self, source: Source, body: Body) {
         let i = source.index();
+        self.applied[i] += 1;
         self.counts[i].total += 1;
         match body {
             Body::Bad(line) => {
@@ -481,22 +476,12 @@ impl StreamCore {
         self.spill.drain(..).collect()
     }
 
-    /// True once every pushed line has been applied in sequence order —
-    /// the precondition for [`StreamCore::checkpoint_state`].
-    pub(crate) fn is_quiescent(&self, pushed: &[u64; 5]) -> bool {
-        (0..5).all(|i| self.next_seq[i] == pushed[i] && self.pending[i].is_empty())
-    }
-
-    /// Serializes the open state. Callers must have established quiescence
-    /// (see [`StreamCore::is_quiescent`]): held-back out-of-order parse
-    /// results cannot be externalized.
+    /// Serializes the open state: a function of the lines applied so far
+    /// and nothing else. The threaded engine waits until every pushed line
+    /// has been applied before it asks.
     pub(crate) fn checkpoint_state(&self) -> CoreState {
-        debug_assert!(
-            self.pending.iter().all(BTreeMap::is_empty),
-            "checkpoint requires quiescence"
-        );
         CoreState {
-            next_seq: self.next_seq,
+            next_seq: self.applied,
             progress: self.progress,
             open: self.open,
             counts: self.counts,
@@ -531,9 +516,9 @@ impl StreamCore {
     /// Rebuilds a core from a checkpoint. Inverse of
     /// [`StreamCore::checkpoint_state`] up to the spill queue (drained
     /// before checkpointing by contract).
-    pub(crate) fn from_state(config: StreamConfig, cells: HealthCells, state: CoreState) -> Self {
-        let mut core = StreamCore::new(config, cells);
-        core.next_seq = state.next_seq;
+    pub(crate) fn from_state(config: StreamConfig, state: CoreState) -> Self {
+        let mut core = StreamCore::new(config);
+        core.applied = state.next_seq;
         core.progress = state.progress;
         core.open = state.open;
         core.counts = state.counts;
