@@ -6,7 +6,9 @@
 //! Writes `BENCH_pipeline.json` for tracking. With `PIPELINE_BASELINE`
 //! set to a committed copy of that file, exits nonzero if any thread
 //! point drops below 0.8x the baseline lines/sec — the CI perf smoke
-//! gate.
+//! gate. With `PARSE_THROUGHPUT_FLOOR` or `FILTER_THROUGHPUT_FLOOR` set
+//! (lines/s), exits nonzero when that stage's best-point rate is below it
+//! on a host with two or more cpus.
 
 use std::time::Instant;
 
@@ -36,6 +38,11 @@ struct PipelineBench {
     /// parser rewrite is measured by (CI gates it via
     /// `PARSE_THROUGHPUT_FLOOR`).
     parse_lines_per_sec: f64,
+    /// Filter-stage throughput at the best point, in syslog lines (the
+    /// only lines the filter scans) per second — what the pattern-table
+    /// automaton is measured by (CI gates it via
+    /// `FILTER_THROUGHPUT_FLOOR`).
+    filter_lines_per_sec: f64,
     points: Vec<ThreadPoint>,
 }
 
@@ -155,6 +162,30 @@ fn baseline_gate(points: &[ThreadPoint], path: &str, text: &str) -> bool {
     ok
 }
 
+/// With `var` set to a floor in lines/s, exits nonzero when the stage's
+/// best-point `rate` is below it — except on a 1-cpu host, which
+/// time-shares the measurement with the OS and only gets a warning.
+fn throughput_floor(stage: &str, var: &str, rate: f64, host_cpus: usize) {
+    let Ok(floor) = std::env::var(var) else {
+        return;
+    };
+    let floor: f64 = floor
+        .parse()
+        .unwrap_or_else(|_| panic!("{var} must be lines/s"));
+    let label = format!("{stage} gate");
+    if rate >= floor {
+        println!("{label:<17}: ok (>= {floor:.0} lines/s)");
+    } else if host_cpus <= 1 {
+        eprintln!(
+            "{label:<17}: WARNING {rate:.0} lines/s is below {floor:.0}, but host has 1 cpu \
+             — not failing"
+        );
+    } else {
+        eprintln!("{label:<17}: FAILED {rate:.0} < {floor:.0} lines/s");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     banner(
         "P1",
@@ -217,23 +248,18 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     let parse_lines_per_sec = total as f64 / best_parse_secs;
     println!("parse stage      : {parse_lines_per_sec:>10.0} lines/s (best point)");
-    if let Ok(floor) = std::env::var("PARSE_THROUGHPUT_FLOOR") {
-        let floor: f64 = floor
-            .parse()
-            .expect("PARSE_THROUGHPUT_FLOOR must be lines/s");
-        if parse_lines_per_sec >= floor {
-            println!("parse gate       : ok (>= {floor:.0} lines/s)");
-        } else if host_cpus <= 1 {
-            // 1-core containers time-share the measurement with the OS;
-            // report but do not fail there.
-            eprintln!(
-                "parse gate       : WARNING {parse_lines_per_sec:.0} lines/s is below \
-                 {floor:.0}, but host has 1 cpu — not failing"
-            );
-        } else {
-            eprintln!("parse gate       : FAILED {parse_lines_per_sec:.0} < {floor:.0} lines/s");
-            std::process::exit(1);
-        }
+    let best_filter_secs = points
+        .iter()
+        .map(|p| p.stage_secs.filter_secs)
+        .fold(f64::INFINITY, f64::min);
+    let filter_lines_per_sec = logs.syslog.len() as f64 / best_filter_secs;
+    println!("filter stage     : {filter_lines_per_sec:>10.0} syslog lines/s (best point)");
+    let gates = [
+        ("parse", "PARSE_THROUGHPUT_FLOOR", parse_lines_per_sec),
+        ("filter", "FILTER_THROUGHPUT_FLOOR", filter_lines_per_sec),
+    ];
+    for (stage, var, rate) in gates {
+        throughput_floor(stage, var, rate, host_cpus);
     }
 
     let out = PipelineBench {
@@ -242,6 +268,7 @@ fn main() {
         reps: REPS,
         host_cpus,
         parse_lines_per_sec,
+        filter_lines_per_sec,
         points,
     };
     let text = serde_json::to_string_pretty(&out).expect("serializable");

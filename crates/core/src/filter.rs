@@ -10,21 +10,30 @@
 //!
 //! ## The byte hot path
 //!
-//! Classification runs on **raw message bytes**: [`Pattern::matches_bytes`]
-//! is a byte substring conjunction, and the `&str` entry points delegate to
-//! it. The two agree exactly — `str::contains` is byte substring search,
-//! and because UTF-8 is self-synchronizing a byte-level match of a valid
-//! UTF-8 needle always lands on a character boundary. This is what lets
-//! [`filter_columns`] classify borrowed arena slices **before** any record
-//! materializes: a discarded line (the overwhelming majority) never
-//! allocates, and a kept line only resolves its host to a [`NodeId`].
+//! Classification runs on **raw message bytes**. `PatternTable::build`
+//! compiles the table's distinct fragments once into a dense
+//! Aho–Corasick DFA; one left-to-right pass over a message walks it, one
+//! table load per byte, and collects the set of fragments that occur.
+//! Rule *i* fires when its fragment set is a subset of that found set, and
+//! the lowest firing *i* wins — exactly first-match-wins over
+//! [`Pattern::matches`], which stays the per-rule definition the automaton
+//! is tested against. Byte and `&str` matching agree: `str::contains` is
+//! byte substring search, and because UTF-8 is self-synchronizing a
+//! byte-level match of a valid UTF-8 needle always lands on a character
+//! boundary. This is what lets [`filter_columns`] classify borrowed arena
+//! slices **before** any record materializes: a discarded line (the
+//! overwhelming majority) never allocates, and a kept line only resolves
+//! its host to a [`NodeId`].
 //!
-//! Each pattern carries a precomputed *screen* — the set of its fragments'
-//! first bytes plus the longest fragment's length. Per message, one pass
-//! builds a 256-bit byte-presence bitmap; a pattern whose screen bytes are
-//! not all present (or whose longest fragment cannot fit) is skipped
-//! without any substring search. Screens are conservative, never changing
-//! the match result — a property the tests pin against the naive scan.
+//! The DFA maps bytes to classes (every byte that occurs in no fragment
+//! shares one class), stores premultiplied state ids so a step is
+//! `trans[state + class]`, and numbers the states where some fragment
+//! ends last, so "did a fragment just end?" is one compare and the found
+//! set is touched only then. The compiled automaton sits behind an
+//! [`Arc`], so cloning a table (once per stream engine, serve tenant and
+//! parse worker) shares it instead of copying it.
+
+use std::sync::Arc;
 
 use logdiver_types::{ErrorCategory, NodeId, Severity, Timestamp};
 use serde::{Deserialize, Serialize};
@@ -98,65 +107,11 @@ impl Pattern {
         self.category
     }
 
-    /// True when every fragment occurs in `message`.
+    /// True when every fragment occurs in `message` — the definition of
+    /// a rule match, which the compiled automaton reproduces.
     pub fn matches(&self, message: &str) -> bool {
-        self.matches_bytes(message.as_bytes())
+        self.fragments.iter().all(|f| message.contains(f))
     }
-
-    /// True when every fragment occurs in `message`, scanned as raw bytes.
-    ///
-    /// For valid UTF-8 input this is exactly [`Pattern::matches`]; for
-    /// damaged input it degrades gracefully (a fragment simply cannot
-    /// start inside a torn multi-byte sequence).
-    pub fn matches_bytes(&self, message: &[u8]) -> bool {
-        self.fragments
-            .iter()
-            .all(|f| craylog::scan::find_seq(message, f.as_bytes()).is_some())
-    }
-}
-
-/// Precomputed skip data for one pattern: the set of fragment first bytes
-/// (as a 256-bit mask) and the longest fragment's length. A message that
-/// lacks any screened byte, or is shorter than the longest fragment,
-/// cannot match — checked against a per-message presence bitmap before any
-/// substring search runs.
-#[derive(Debug, Clone, Copy)]
-struct Screen {
-    need: [u64; 4],
-    min_len: usize,
-}
-
-impl Screen {
-    fn for_pattern(p: &Pattern) -> Self {
-        let mut need = [0u64; 4];
-        let mut min_len = 0;
-        for f in p.fragments {
-            if let Some(&b) = f.as_bytes().first() {
-                need[(b >> 6) as usize] |= 1 << (b & 63);
-            }
-            min_len = min_len.max(f.len());
-        }
-        Screen { need, min_len }
-    }
-
-    #[inline]
-    fn admits(&self, have: &[u64; 4], len: usize) -> bool {
-        len >= self.min_len
-            && self.need[0] & have[0] == self.need[0]
-            && self.need[1] & have[1] == self.need[1]
-            && self.need[2] & have[2] == self.need[2]
-            && self.need[3] & have[3] == self.need[3]
-    }
-}
-
-/// Which byte values occur in `message`, as a 256-bit bitmap.
-#[inline]
-fn byte_presence(message: &[u8]) -> [u64; 4] {
-    let mut have = [0u64; 4];
-    for &b in message {
-        have[(b >> 6) as usize] |= 1 << (b & 63);
-    }
-    have
 }
 
 /// A declared precedence between two lexically overlapping rules of
@@ -179,7 +134,7 @@ pub struct OverlapWaiver {
 pub struct PatternTable {
     patterns: Vec<Pattern>,
     waivers: Vec<OverlapWaiver>,
-    screens: Vec<Screen>,
+    automaton: Arc<Automaton>,
 }
 
 impl Default for PatternTable {
@@ -383,13 +338,14 @@ impl PatternTable {
         Self::build(patterns, Vec::new())
     }
 
-    /// The one place screens are derived, so every constructor agrees.
+    /// The one place the automaton is compiled, so every constructor
+    /// agrees.
     fn build(patterns: Vec<Pattern>, waivers: Vec<OverlapWaiver>) -> Self {
-        let screens = patterns.iter().map(Screen::for_pattern).collect();
+        let automaton = Arc::new(Automaton::compile(&patterns));
         PatternTable {
             patterns,
             waivers,
-            screens,
+            automaton,
         }
     }
 
@@ -438,17 +394,222 @@ impl PatternTable {
             .map(|(_, category)| category)
     }
 
-    /// Byte-level [`PatternTable::classify_index`]. One presence-bitmap
-    /// pass over the message, then first-match-wins over the rules with
-    /// each rule's [`Screen`] consulted before its substring scan.
+    /// Byte-level [`PatternTable::classify_index`]: one automaton pass
+    /// over the message collects the fragments that occur, then the lowest
+    /// rule whose fragments all occurred wins.
     pub fn classify_index_bytes(&self, message: &[u8]) -> Option<(usize, ErrorCategory)> {
-        let have = byte_presence(message);
-        for (i, (p, s)) in self.patterns.iter().zip(&self.screens).enumerate() {
-            if s.admits(&have, message.len()) && p.matches_bytes(message) {
-                return Some((i, p.category));
+        let i = self.automaton.first_match(message)?;
+        self.patterns.get(i).map(|p| (i, p.category))
+    }
+}
+
+/// The distinct fragments of a table compiled into one dense
+/// Aho–Corasick DFA, plus each rule's fragment set.
+///
+/// States are rows of `stride` transitions, one per byte class; a state id
+/// is its row index times `stride`, so a step is one load. Row 0 is the
+/// root, and the rows whose found set is non-empty — where some fragment
+/// ends, directly or through a failure link — come last, from
+/// `first_output` on. State ids are `u32`: a table would need over 16 M
+/// fragment bytes (a 16 GiB transition table) to overflow them.
+struct Automaton {
+    /// Byte value → byte class. All bytes in no fragment share one class.
+    classes: [u8; 256],
+    /// Byte classes, i.e. transitions per state.
+    stride: usize,
+    /// Row-major transitions holding premultiplied state ids.
+    trans: Vec<u32>,
+    /// The first output state's id; every id at or past it is one.
+    first_output: u32,
+    /// `u64` words per fragment set (bit `f % 64` of word `f / 64` is
+    /// fragment `f`); at least 1.
+    words: usize,
+    /// The found set of each output state, in state order.
+    outputs: Vec<u64>,
+    /// Each rule's fragment set, in rule order. Empty fragments are
+    /// left out: they occur in every message.
+    rule_sets: Vec<u64>,
+    /// The first rule with an empty fragment set, which fires on any
+    /// message — the answer when no fragment occurs.
+    unconditional: Option<usize>,
+}
+
+impl std::fmt::Debug for Automaton {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Automaton")
+            .field("states", &(self.trans.len() / self.stride))
+            .field("classes", &self.stride)
+            .field("words", &self.words)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Automaton {
+    fn compile(patterns: &[Pattern]) -> Self {
+        // Distinct non-empty fragments, numbered by first appearance.
+        let mut fragments: Vec<&[u8]> = Vec::new();
+        let mut rule_ids: Vec<Vec<usize>> = Vec::with_capacity(patterns.len());
+        for p in patterns {
+            let mut ids = Vec::with_capacity(p.fragments.len());
+            for f in p.fragments.iter().map(|f| f.as_bytes()) {
+                if f.is_empty() {
+                    continue;
+                }
+                let id = match fragments.iter().position(|&g| g == f) {
+                    Some(id) => id,
+                    None => {
+                        fragments.push(f);
+                        fragments.len() - 1
+                    }
+                };
+                ids.push(id);
+            }
+            rule_ids.push(ids);
+        }
+        let words = fragments.len().div_ceil(64).max(1);
+        let set_of = |ids: &[usize]| {
+            let mut set = vec![0u64; words];
+            for &id in ids {
+                set[id / 64] |= 1 << (id % 64);
+            }
+            set
+        };
+        let rule_sets: Vec<u64> = rule_ids.iter().flat_map(|ids| set_of(ids)).collect();
+        let unconditional = rule_ids.iter().position(|ids| ids.is_empty());
+
+        // Byte classes: each byte some fragment uses gets its own class,
+        // every other byte the one class after them. Fragments are UTF-8,
+        // so at most 243 byte values occur and that class always exists.
+        let mut used = [false; 256];
+        for &b in fragments.iter().flat_map(|f| f.iter()) {
+            used[usize::from(b)] = true;
+        }
+        let distinct = used.iter().filter(|&&u| u).count();
+        let mut classes = [distinct as u8; 256];
+        for (class, b) in (0..256).filter(|&b| used[b]).enumerate() {
+            classes[b] = class as u8;
+        }
+        let stride = distinct + 1;
+
+        // The trie, one dense row per state; `NONE` marks a missing edge.
+        const NONE: usize = usize::MAX;
+        let mut trie: Vec<usize> = vec![NONE; stride];
+        let mut found: Vec<u64> = vec![0; words];
+        for (id, f) in fragments.iter().enumerate() {
+            let mut state = 0;
+            for &b in f.iter() {
+                let edge = state * stride + usize::from(classes[usize::from(b)]);
+                if trie[edge] == NONE {
+                    trie[edge] = trie.len() / stride;
+                    trie.resize(trie.len() + stride, NONE);
+                    found.resize(found.len() + words, 0);
+                }
+                state = trie[edge];
+            }
+            found[state * words + id / 64] |= 1 << (id % 64);
+        }
+        let states = trie.len() / stride;
+
+        // Breadth-first: fill every missing edge from the failure state's
+        // row (already complete, being shallower) and inherit its found set.
+        let mut dfa = trie.clone();
+        let mut fail = vec![0usize; states];
+        let mut order = Vec::with_capacity(states);
+        let mut queue = std::collections::VecDeque::new();
+        for c in 0..stride {
+            match trie[c] {
+                NONE => dfa[c] = 0,
+                child => queue.push_back(child),
             }
         }
-        None
+        order.push(0);
+        while let Some(u) = queue.pop_front() {
+            order.push(u);
+            for w in 0..words {
+                found[u * words + w] |= found[fail[u] * words + w];
+            }
+            for c in 0..stride {
+                let via_fail = dfa[fail[u] * stride + c];
+                match trie[u * stride + c] {
+                    NONE => dfa[u * stride + c] = via_fail,
+                    child => {
+                        fail[child] = via_fail;
+                        queue.push_back(child);
+                    }
+                }
+            }
+        }
+
+        // Renumber: states that find nothing first (root at 0), output
+        // states last, breadth-first within each group.
+        let is_output = |u: usize| found[u * words..(u + 1) * words].iter().any(|&w| w != 0);
+        let (quiet, loud): (Vec<usize>, Vec<usize>) =
+            order.into_iter().partition(|&u| !is_output(u));
+        let mut row = vec![0usize; states];
+        for (new, &old) in quiet.iter().chain(&loud).enumerate() {
+            row[old] = new;
+        }
+        let mut trans = vec![0u32; states * stride];
+        let mut outputs = Vec::with_capacity(loud.len() * words);
+        for &old in quiet.iter().chain(&loud) {
+            let base = row[old] * stride;
+            for c in 0..stride {
+                trans[base + c] = (row[dfa[old * stride + c]] * stride) as u32;
+            }
+        }
+        for &old in &loud {
+            outputs.extend_from_slice(&found[old * words..(old + 1) * words]);
+        }
+        Automaton {
+            classes,
+            stride,
+            trans,
+            first_output: (quiet.len() * stride) as u32,
+            words,
+            outputs,
+            rule_sets,
+            unconditional,
+        }
+    }
+
+    /// The lowest rule whose fragments all occur in `message`.
+    #[inline]
+    fn first_match(&self, message: &[u8]) -> Option<usize> {
+        if self.words == 1 {
+            let mut found = [0u64; 1];
+            self.scan(message, &mut found);
+            self.resolve(&found)
+        } else {
+            let mut found = vec![0u64; self.words];
+            self.scan(message, &mut found);
+            self.resolve(&found)
+        }
+    }
+
+    /// ORs into `found` every fragment that occurs in `message`.
+    #[inline]
+    fn scan(&self, message: &[u8], found: &mut [u64]) {
+        let mut state = 0u32;
+        for &b in message {
+            state = self.trans[state as usize + usize::from(self.classes[usize::from(b)])];
+            if state >= self.first_output {
+                let at = (state - self.first_output) as usize / self.stride * self.words;
+                for (f, o) in found.iter_mut().zip(&self.outputs[at..at + self.words]) {
+                    *f |= o;
+                }
+            }
+        }
+    }
+
+    /// First-match-wins over the rules' fragment sets.
+    #[inline]
+    fn resolve(&self, found: &[u64]) -> Option<usize> {
+        if found.iter().all(|&w| w == 0) {
+            return self.unconditional;
+        }
+        self.rule_sets
+            .chunks_exact(self.words)
+            .position(|need| need.iter().zip(found).all(|(n, f)| n & !f == 0))
     }
 }
 
@@ -512,8 +673,8 @@ const PAR_FILTER_MIN_RECORDS: usize = 4096;
 /// Filters one columnar syslog record from its borrowed field slices;
 /// `None` means "operational chatter, discard". Classification runs on the
 /// raw message bytes, and the host is resolved to a node **only on a
-/// keep** — a discarded line costs one bitmap pass and some screened
-/// substring scans, nothing more.
+/// keep** — a discarded line costs one automaton pass over its message,
+/// nothing more.
 pub fn entry_from_syslog_bytes(
     timestamp: Timestamp,
     host: &[u8],
@@ -741,17 +902,30 @@ mod tests {
         }
     }
 
-    /// The naive scan the screens must never disagree with.
-    fn classify_unscreened(table: &PatternTable, message: &str) -> Option<(usize, ErrorCategory)> {
+    /// The naive first-match-wins scan the automaton must reproduce.
+    fn classify_naive(table: &PatternTable, message: &str) -> Option<(usize, ErrorCategory)> {
         table
             .rules()
             .iter()
-            .position(|p| p.fragments().iter().all(|f| message.contains(f)))
+            .position(|p| p.matches(message))
+            .map(|i| (i, table.rules()[i].category()))
+    }
+
+    /// The naive scan over raw bytes, for messages that are not UTF-8.
+    fn classify_naive_bytes(
+        table: &PatternTable,
+        message: &[u8],
+    ) -> Option<(usize, ErrorCategory)> {
+        let occurs = |f: &str| f.is_empty() || message.windows(f.len()).any(|w| w == f.as_bytes());
+        table
+            .rules()
+            .iter()
+            .position(|p| p.fragments().iter().all(|f| occurs(f)))
             .map(|i| (i, table.rules()[i].category()))
     }
 
     #[test]
-    fn screens_never_change_classification() {
+    fn automaton_agrees_with_naive_scan_on_the_corpus() {
         let table = PatternTable::curated();
         let mut corpus: Vec<String> = Vec::new();
         for cat in ErrorCategory::ALL {
@@ -762,29 +936,216 @@ mod tests {
         for variant in 0..200 {
             corpus.push(templates::noise_message(variant).1);
         }
-        // Truncations exercise the min-len screen; they must degrade to
-        // whatever the naive scan says, never to a different rule.
         corpus.push("Machine Check Exceptio".into());
         corpus.push("".into());
         for msg in &corpus {
             assert_eq!(
                 table.classify_index(msg),
-                classify_unscreened(&table, msg),
-                "screen diverged on {msg:?}"
+                classify_naive(&table, msg),
+                "automaton diverged on {msg:?}"
             );
         }
     }
 
+    #[test]
+    fn clones_share_the_automaton() {
+        let table = PatternTable::curated();
+        let copy = table.clone();
+        assert!(Arc::ptr_eq(&table.automaton, &copy.automaton));
+        assert_eq!(Arc::strong_count(&table.automaton), 2);
+    }
+
+    #[test]
+    fn degenerate_tables_follow_the_definition() {
+        let empty = PatternTable::from_rules(Vec::new());
+        assert_eq!(empty.classify_index_bytes(b"anything"), None);
+        // An empty fragment occurs everywhere, so its rule fires on any
+        // message — but only where no earlier rule does.
+        let table = PatternTable::from_rules(vec![
+            Pattern::new(&["fault", "VRM"], ErrorCategory::VoltageFault),
+            Pattern::new(&[""], ErrorCategory::MaintenanceNotice),
+            Pattern::new(&["fault"], ErrorCategory::NodeHeartbeatFault),
+        ]);
+        for msg in ["", "fault", "VRM fault", "x"] {
+            assert_eq!(
+                table.classify_index(msg),
+                classify_naive(&table, msg),
+                "{msg:?}"
+            );
+        }
+        // One fragment holding every byte value UTF-8 can hold: the
+        // most byte classes any table can have.
+        let mut seen = [false; 256];
+        let mut all = String::new();
+        for c in (0..=0x10ffff).filter_map(char::from_u32) {
+            let mut buf = [0; 4];
+            let bytes = c.encode_utf8(&mut buf).as_bytes();
+            if bytes.iter().any(|&b| !seen[usize::from(b)]) {
+                bytes.iter().for_each(|&b| seen[usize::from(b)] = true);
+                all.push(c);
+            }
+        }
+        assert_eq!(seen.iter().filter(|&&s| s).count(), 243);
+        let all: &'static str = Box::leak(all.into_boxed_str());
+        let frags: &'static [&'static str] = Box::leak(vec![all].into_boxed_slice());
+        let table = PatternTable::from_rules(vec![Pattern::new(frags, ErrorCategory::KernelPanic)]);
+        assert_eq!(
+            table.classify_index(all),
+            Some((0, ErrorCategory::KernelPanic))
+        );
+        assert_eq!(table.classify_index(&all[1..]), None);
+    }
+
+    /// Fragments that overlap every way Aho–Corasick can get wrong: shared
+    /// prefixes and suffixes, one inside another, repeats, multi-byte
+    /// UTF-8.
+    const FRAGMENT_POOL: &[&str] = &[
+        "fault",
+        "heartbeat fault",
+        "heartbeat",
+        "beat",
+        "VRM fault",
+        "fault on",
+        "link failed",
+        "link",
+        "failed over",
+        "failed",
+        "placement failed",
+        "lane",
+        "lanes up",
+        "LCB lane shutdown",
+        "ECC",
+        "DRAM ECC error",
+        "Double Bit ECC Error",
+        "error",
+        "ror",
+        "EDAC",
+        "UE row",
+        "CE row",
+        "row",
+        "aaa",
+        "aa",
+        "abab",
+        "bab",
+        "n\u{e9}ud mort",
+        "\u{e9}",
+    ];
+
+    /// A pool of at least 70 distinct fragments, sharing prefixes
+    /// (`frag`) and suffixes (`0`…`9`), so a found set spans two words.
+    fn wide_pool() -> Vec<&'static str> {
+        let mut pool = FRAGMENT_POOL.to_vec();
+        for i in 0..48 {
+            let f = format!("frag{}{}", ["", "x", "yx"][i % 3], i);
+            pool.push(Box::leak(f.into_boxed_str()));
+        }
+        pool
+    }
+
+    /// Rules of 1–3 fragments drawn (with repeats) from `pool`.
+    fn table_from(pool: &[&'static str], picks: &[(Vec<usize>, usize)]) -> PatternTable {
+        let rules = picks
+            .iter()
+            .map(|(frags, cat)| {
+                let frags: Vec<&'static str> =
+                    frags.iter().map(|&i| pool[i % pool.len()]).collect();
+                let frags: &'static [&'static str] = Box::leak(frags.into_boxed_slice());
+                Pattern::new(frags, ErrorCategory::ALL[cat % ErrorCategory::ALL.len()])
+            })
+            .collect();
+        PatternTable::from_rules(rules)
+    }
+
+    /// A message: arbitrary bytes with pool fragments spliced in whole,
+    /// cut short, or with their first byte dropped.
+    fn message_from(pool: &[&'static str], pieces: &[(u8, usize, Vec<u8>)]) -> Vec<u8> {
+        let mut msg = Vec::new();
+        for (kind, pick, noise) in pieces {
+            let f = pool[pick % pool.len()].as_bytes();
+            match kind % 4 {
+                0 => msg.extend_from_slice(f),
+                1 => msg.extend_from_slice(&f[..f.len() - 1]),
+                2 => msg.extend_from_slice(&f[1..]),
+                _ => {}
+            }
+            msg.extend_from_slice(noise);
+        }
+        msg
+    }
+
+    fn rules_strategy() -> impl proptest::strategy::Strategy<Value = Vec<(Vec<usize>, usize)>> {
+        use proptest::prelude::*;
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<usize>(), 1..4),
+                any::<usize>(),
+            ),
+            1..40,
+        )
+    }
+
+    fn pieces_strategy() -> impl proptest::strategy::Strategy<Value = Vec<(u8, usize, Vec<u8>)>> {
+        use proptest::prelude::*;
+        proptest::collection::vec(
+            (
+                any::<u8>(),
+                any::<usize>(),
+                proptest::collection::vec(any::<u8>(), 0..6),
+            ),
+            0..8,
+        )
+    }
+
     proptest::proptest! {
-        /// Arbitrary (including non-ASCII) messages: the screened byte
-        /// path and the naive `str::contains` scan always agree.
+        /// Arbitrary (including non-ASCII) messages: the byte path
+        /// and the naive `str::contains` scan always agree.
         #[test]
         fn classify_bytes_matches_str_contains(msg in ".{0,120}") {
             let table = PatternTable::curated();
             proptest::prop_assert_eq!(
                 table.classify_index_bytes(msg.as_bytes()),
-                classify_unscreened(&table, &msg)
+                classify_naive(&table, &msg)
             );
+        }
+
+        /// Random tables over overlapping fragments, arbitrary-byte
+        /// messages: the automaton picks the same rule as the naive scan.
+        #[test]
+        fn automaton_agrees_with_naive_scan(
+            rules in rules_strategy(),
+            messages in proptest::collection::vec(pieces_strategy(), 1..8),
+        ) {
+            let table = table_from(FRAGMENT_POOL, &rules);
+            for pieces in &messages {
+                let msg = message_from(FRAGMENT_POOL, pieces);
+                proptest::prop_assert_eq!(
+                    table.classify_index_bytes(&msg),
+                    classify_naive_bytes(&table, &msg)
+                );
+            }
+        }
+
+        /// The same over a table with more than 64 distinct fragments,
+        /// whose found set spills into a second word.
+        #[test]
+        fn automaton_agrees_with_naive_scan_past_one_word(
+            rules in rules_strategy(),
+            messages in proptest::collection::vec(pieces_strategy(), 1..8),
+        ) {
+            let pool = wide_pool();
+            // Every pool fragment in some rule, then the random rules.
+            let mut picks: Vec<(Vec<usize>, usize)> = (0..pool.len()).map(|i| (vec![i], i)).collect();
+            picks.extend(rules);
+            picks.rotate_left(pool.len() / 2);
+            let table = table_from(&pool, &picks);
+            proptest::prop_assert!(table.automaton.words >= 2);
+            for pieces in &messages {
+                let msg = message_from(&pool, pieces);
+                proptest::prop_assert_eq!(
+                    table.classify_index_bytes(&msg),
+                    classify_naive_bytes(&table, &msg)
+                );
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! Test-only reference for stages 1–2: craylog's owned `*Record::parse`
-//! and [`PatternTable::classify`], one serial loop per source. The
-//! columnar path's unit tests compare against it field for field; the byte
-//! parsers, the screened byte classifier and the chunked merges are all on
-//! the other side of the comparison.
+//! and a naive first-match-wins scan of
+//! [`Pattern::matches`](crate::filter::Pattern::matches), one serial
+//! loop per source. The columnar path's unit tests compare against it
+//! field for field; the byte parsers, the compiled pattern automaton and
+//! the chunked merges are all on the other side of the comparison.
 
 use craylog::alps::AlpsRecord;
 use craylog::hwerr::HwErrRecord;
@@ -65,7 +66,8 @@ pub(crate) fn filter(recs: &Records, table: &PatternTable) -> (Vec<FilteredEntry
     let mut stats = FilterStats::default();
     for rec in &recs.syslog {
         stats.syslog_examined += 1;
-        if let Some(category) = table.classify(&rec.message) {
+        let rule = table.rules().iter().find(|p| p.matches(&rec.message));
+        if let Some(category) = rule.map(|p| p.category()) {
             stats.syslog_kept += 1;
             entries.push(FilteredEntry {
                 timestamp: rec.timestamp,

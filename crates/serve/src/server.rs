@@ -642,7 +642,9 @@ impl ServeCore {
         } else if !options.is_empty() {
             self.overrides.insert(tenant.to_string(), requested);
         }
-        let t = self.tenant_entry(tenant);
+        let Some(t) = self.tenant_entry(tenant) else {
+            return unknown_tenant(tenant);
+        };
         format!("OK tenant={} accepted={}", t.name, cursor(&t.accepted()))
     }
 
@@ -973,20 +975,17 @@ impl ServeCore {
     }
 
     /// Returns the hot tenant for `name`, creating or resurrecting it as
-    /// needed, and marks it touched (idle counter reset).
-    fn tenant_entry(&mut self, name: &str) -> &mut Tenant {
+    /// needed, and marks it touched (idle counter reset). A tenant that is
+    /// already hot is found by `&str`: nothing is cloned or allocated.
+    fn tenant_entry(&mut self, name: &str) -> Option<&mut Tenant> {
         if !self.tenants.contains_key(name) {
             let tenant = self.restore_or_create(name);
             self.fleet_cost += tenant.cost();
             self.tenants.insert(name.to_string(), tenant);
         }
-        let stream = self.config.stream.clone();
-        let t = self
-            .tenants
-            .entry(name.to_string())
-            .or_insert_with(|| Tenant::new(name.to_string(), stream)); // unreachable: inserted above
+        let t = self.tenants.get_mut(name)?;
         t.idle_pumps = 0;
-        t
+        Some(t)
     }
 
     /// Builds the tenant that should answer for `name`: resurrected from

@@ -107,7 +107,7 @@ impl StreamEngine {
         let capacity = config.channel_capacity.max(1);
         let mut shards = [1usize; 5];
         shards[Source::Syslog.index()] = config.syslog_shards.max(1);
-        let table = Arc::new(config.table.clone());
+        let table = config.table.clone();
         let pushed = engine.pushed_all();
         let cells = engine.core.cells();
         let (out_tx, out_rx) = bounded::<CoordMsg>(capacity);
@@ -119,7 +119,7 @@ impl StreamEngine {
             for _ in 0..shards[source.index()] {
                 let (in_tx, in_rx) = bounded::<LineChunk>(capacity);
                 let tx = out_tx.clone();
-                let table = Arc::clone(&table);
+                let table = table.clone();
                 // lint: allow(thread-spawn) the parse-worker pool IS the engine's concurrency; merges are seq-stamped, so output stays deterministic (DESIGN §10)
                 workers.push(std::thread::spawn(move || {
                     worker(source, &table, &in_rx, &tx)

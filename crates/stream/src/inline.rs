@@ -146,7 +146,7 @@ where
 
 /// Parses one raw line with the batch pipeline's rules: blank lines are
 /// corrupt; entry sources run the filter right here, so in the threaded
-/// engine the pattern table's substring scans parallelize across shards.
+/// engine the pattern table's automaton scans parallelize across shards.
 /// Runs entirely on the zero-copy byte parsers.
 fn parse_line(source: Source, line: &str, table: &PatternTable) -> Option<Parsed> {
     let bytes = line.as_bytes();
