@@ -180,11 +180,10 @@ mod tests {
     fn advise_covers_buckets_with_mtti() {
         use crate::classify::ClassifiedRun;
         use crate::metrics::compute;
-        use crate::ranges::RangeSet;
         use crate::workload::{AppRun, Termination};
         use logdiver_types::{
-            AppId, ExitClass, ExitStatus, FailureCause, JobId, NodeSet, SimDuration, Timestamp,
-            UserId,
+            AppId, ExitClass, ExitStatus, FailureCause, JobId, NodeSet, RangeSet, SimDuration,
+            Timestamp, UserId,
         };
         let mk = |apid: u64, class: ExitClass| ClassifiedRun {
             run: AppRun {
@@ -193,7 +192,7 @@ mod tests {
                 user: UserId::new(0),
                 node_type: NodeType::Xe,
                 width: 1,
-                nodes: RangeSet::from_node_set(&NodeSet::from_range(
+                nodes: RangeSet::from(&NodeSet::from_range(
                     logdiver_types::NodeId::new(0),
                     logdiver_types::NodeId::new(0),
                 )),

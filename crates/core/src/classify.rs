@@ -258,10 +258,9 @@ pub fn classify_one<I: EventLookup + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranges::RangeSet;
     use logdiver_types::{
-        AppId, ErrorCategory, JobId, NodeId, NodeSet, NodeType, Severity, SimDuration, Timestamp,
-        UserId,
+        AppId, ErrorCategory, JobId, NodeId, NodeSet, NodeType, RangeSet, Severity, SimDuration,
+        Timestamp, UserId,
     };
 
     fn t(secs: i64) -> Timestamp {
@@ -276,7 +275,7 @@ mod tests {
             user: UserId::new(0),
             node_type: NodeType::Xe,
             width: nodes.len() as u32,
-            nodes: RangeSet::from_node_set(&set),
+            nodes: RangeSet::from(&set),
             start: t(0),
             end: t(end_secs),
             termination,

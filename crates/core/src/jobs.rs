@@ -105,10 +105,9 @@ pub fn analyze_jobs(runs: &[ClassifiedRun]) -> JobReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranges::RangeSet;
     use crate::workload::{AppRun, Termination};
     use logdiver_types::{
-        AppId, ExitStatus, FailureCause, NodeSet, NodeType, SimDuration, Timestamp,
+        AppId, ExitStatus, FailureCause, NodeType, RangeSet, SimDuration, Timestamp,
         UserFailureKind, UserId,
     };
 
@@ -120,7 +119,7 @@ mod tests {
                 user: UserId::new(0),
                 node_type: NodeType::Xe,
                 width: 2,
-                nodes: RangeSet::from_node_set(&NodeSet::new()),
+                nodes: RangeSet::default(),
                 start: Timestamp::PRODUCTION_EPOCH,
                 end: Timestamp::PRODUCTION_EPOCH + SimDuration::from_hours(1),
                 termination: Termination::Exited(ExitStatus::SUCCESS),

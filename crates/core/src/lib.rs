@@ -61,7 +61,6 @@ mod oracle;
 pub mod parse;
 pub mod pipeline;
 pub mod precursor;
-pub mod ranges;
 pub mod report;
 pub mod temporal;
 pub mod users;

@@ -9,10 +9,9 @@
 //! in span, a binary search plus a short backward scan answers each query
 //! in `O(log E + k)`.
 
-use logdiver_types::{SimDuration, Timestamp};
+use logdiver_types::{RangeSet, SimDuration, Timestamp};
 
 use crate::coalesce::ErrorEvent;
-use crate::ranges::RangeSet;
 
 /// What the classifier needs from an event table: window queries and id
 /// lookups. Implemented by the batch [`MatchIndex`] and by the streaming
@@ -157,7 +156,7 @@ mod tests {
 
     fn ranges(nids: &[u32]) -> RangeSet {
         let set: NodeSet = nids.iter().copied().map(NodeId::new).collect();
-        RangeSet::from_node_set(&set)
+        RangeSet::from(&set)
     }
 
     #[test]

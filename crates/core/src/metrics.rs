@@ -532,10 +532,9 @@ pub fn user_failure_breakdown(runs: &[ClassifiedRun]) -> Vec<(UserFailureKind, u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranges::RangeSet;
     use crate::workload::AppRun;
     use logdiver_types::{
-        AppId, ExitStatus, JobId, NodeId, NodeSet, SimDuration, Timestamp, UserId,
+        AppId, ExitStatus, JobId, NodeId, NodeSet, RangeSet, SimDuration, Timestamp, UserId,
     };
 
     fn t(secs: i64) -> Timestamp {
@@ -563,7 +562,7 @@ mod tests {
                 user: UserId::new(0),
                 node_type: ty,
                 width,
-                nodes: RangeSet::from_node_set(&set),
+                nodes: RangeSet::from(&set),
                 start: t(0),
                 end: t(hours * 3_600),
                 termination,

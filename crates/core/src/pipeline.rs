@@ -179,9 +179,9 @@ impl LogDiver {
         let started = stage_clock();
         let parse_started = stage_clock();
         let sources = collection_lines(logs);
-        let cols = parse_columns_threads(&sources, self.threads);
+        let mut cols = parse_columns_threads(&sources, self.threads);
         let parse_secs = parse_started.elapsed().as_secs_f64();
-        self.finish_columns_timed(&cols, parse_secs, started)
+        self.finish_columns_timed(&mut cols, parse_secs, started)
     }
 
     /// Runs the pipeline on a log directory by loading the conventional
@@ -228,7 +228,7 @@ impl LogDiver {
         let mut cols = parse_columns_threads(&sources, self.threads);
         let parse_secs = parse_started.elapsed().as_secs_f64();
         let quarantine = std::mem::take(&mut cols.quarantine);
-        let (analysis, timings) = self.finish_columns_timed(&cols, parse_secs, started);
+        let (analysis, timings) = self.finish_columns_timed(&mut cols, parse_secs, started);
         (analysis, timings, quarantine)
     }
 
@@ -236,7 +236,7 @@ impl LogDiver {
     /// reconstruction, then [`LogDiver::conclude`].
     fn finish_columns_timed(
         &self,
-        cols: &ParsedColumns<'_>,
+        cols: &mut ParsedColumns<'_>,
         parse_secs: f64,
         started: Instant,
     ) -> (Analysis, StageTimings) {
@@ -265,7 +265,9 @@ impl LogDiver {
         timings.coverage_secs = stage.elapsed().as_secs_f64();
 
         let stage = stage_clock();
-        let (runs, jobs, workload_stats) = reconstruct_records(&cols.alps, &cols.torque);
+        // The ALPS records end here: their node ranges move into the runs.
+        let alps = std::mem::take(&mut cols.alps);
+        let (runs, jobs, workload_stats) = reconstruct_records(alps, &cols.torque);
         timings.reconstruct_secs = stage.elapsed().as_secs_f64();
 
         self.conclude(

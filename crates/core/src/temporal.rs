@@ -120,10 +120,9 @@ pub fn analyze_temporal(runs: &[ClassifiedRun], events: &[ErrorEvent]) -> Tempor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranges::RangeSet;
     use crate::workload::{AppRun, Termination};
     use logdiver_types::{
-        AppId, ExitClass, ExitStatus, FailureCause, JobId, NodeSet, NodeType, SimDuration,
+        AppId, ExitClass, ExitStatus, FailureCause, JobId, NodeType, RangeSet, SimDuration,
         Timestamp, UserId,
     };
 
@@ -136,7 +135,7 @@ mod tests {
                 user: UserId::new(0),
                 node_type: NodeType::Xe,
                 width: 1,
-                nodes: RangeSet::from_node_set(&NodeSet::new()),
+                nodes: RangeSet::default(),
                 start: t,
                 end: t + SimDuration::from_hours(1),
                 termination: Termination::Exited(if system {

@@ -112,10 +112,9 @@ pub fn analyze_users(runs: &[ClassifiedRun]) -> UserReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranges::RangeSet;
     use crate::workload::{AppRun, Termination};
     use logdiver_types::{
-        AppId, ExitStatus, FailureCause, JobId, NodeSet, NodeType, SimDuration, Timestamp,
+        AppId, ExitStatus, FailureCause, JobId, NodeType, RangeSet, SimDuration, Timestamp,
         UserFailureKind,
     };
 
@@ -127,7 +126,7 @@ mod tests {
                 user: UserId::new(user),
                 node_type: NodeType::Xe,
                 width: 2,
-                nodes: RangeSet::from_node_set(&NodeSet::new()),
+                nodes: RangeSet::default(),
                 start: Timestamp::PRODUCTION_EPOCH,
                 end: Timestamp::PRODUCTION_EPOCH + SimDuration::from_hours(1),
                 termination: Termination::Exited(ExitStatus::SUCCESS),

@@ -11,10 +11,10 @@ use std::collections::{BTreeMap, HashMap};
 use craylog::alps::AlpsRecord;
 use craylog::torque::{TorqueEventKind, TorqueRecord};
 use logdiver_types::codec::{Decode, DecodeError, Encode, Reader};
-use logdiver_types::{AppId, ExitStatus, JobId, NodeType, SimDuration, Timestamp, UserId};
+use logdiver_types::{
+    AppId, ExitStatus, JobId, NodeType, RangeSet, SimDuration, Timestamp, UserId,
+};
 use serde::{Deserialize, Serialize};
-
-use crate::ranges::RangeSet;
 
 /// How a reconstructed run terminated, as far as the logs say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -168,8 +168,9 @@ impl RunReconstructor {
         Self::default()
     }
 
-    /// Feeds one ALPS record (placement, exit, or launch error).
-    pub fn push_alps(&mut self, rec: &AlpsRecord) {
+    /// Feeds one ALPS record (placement, exit, or launch error). A
+    /// placement's node ranges move into its run as parsed.
+    pub fn push_alps(&mut self, rec: AlpsRecord) {
         match rec {
             AlpsRecord::Placed(p) => {
                 self.stats.placed += 1;
@@ -183,7 +184,7 @@ impl RunReconstructor {
                         user: p.user,
                         node_type: p.node_type,
                         width: p.width,
-                        nodes: RangeSet::from_node_set(&p.nodes),
+                        nodes: p.nodes,
                         start: p.timestamp,
                         end: p.timestamp,
                         termination: Termination::Missing,
@@ -365,13 +366,16 @@ logdiver_types::codec_struct!(ReconstructorState {
 });
 
 /// Reconstructs runs and job context from parsed ALPS and Torque records.
-pub fn reconstruct_records(
-    alps: &[craylog::alps::AlpsRecord],
+///
+/// Owned ALPS records give their node ranges to the runs; borrowed ones
+/// (`&[AlpsRecord]`) are cloned.
+pub fn reconstruct_records<A: Into<AlpsRecord>>(
+    alps: impl IntoIterator<Item = A>,
     torque: &[craylog::torque::TorqueRecord],
 ) -> (Vec<AppRun>, HashMap<u64, JobInfo>, WorkloadStats) {
     let mut reconstructor = RunReconstructor::new();
     for rec in alps {
-        reconstructor.push_alps(rec);
+        reconstructor.push_alps(rec.into());
     }
     for rec in torque {
         reconstructor.push_torque(rec);
@@ -455,7 +459,7 @@ mod tests {
             let feed = |r: &mut RunReconstructor, lo: usize, hi: usize| {
                 for (k, rec) in alps.iter().enumerate() {
                     if (lo..hi).contains(&k) {
-                        r.push_alps(rec);
+                        r.push_alps(rec.clone());
                     }
                 }
                 for (k, rec) in torque.iter().enumerate() {
@@ -480,7 +484,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let (runs, jobs, stats) = reconstruct_records(&[], &[]);
+        let (runs, jobs, stats) = reconstruct_records(Vec::<AlpsRecord>::new(), &[]);
         assert!(runs.is_empty());
         assert!(jobs.is_empty());
         assert_eq!(stats, WorkloadStats::default());

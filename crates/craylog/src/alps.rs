@@ -13,11 +13,12 @@
 //! Parsing is byte-level ([`AlpsRecord::parse_bytes`]): fields are located
 //! with [`crate::scan`] helpers and decoded from exact subslices; the only
 //! per-record allocations are the ones the owning record itself demands
-//! (the placed [`NodeSet`] and a LAUNCHERR reason string).
+//! (the placed [`RangeSet`], one pair per nid range, and a LAUNCHERR
+//! reason string).
 
 use std::fmt;
 
-use logdiver_types::{AppId, ExitStatus, JobId, NodeSet, NodeType, Sym, Timestamp, UserId};
+use logdiver_types::{AppId, ExitStatus, JobId, NodeType, RangeSet, Sym, Timestamp, UserId};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CraylogError, CraylogFault};
@@ -43,8 +44,8 @@ pub struct AppPlacedRecord {
     /// Number of nodes (redundant with the nodelist; kept because the real
     /// log keeps it and it lets the parser cross-check).
     pub width: u32,
-    /// Placed nodes.
-    pub nodes: NodeSet,
+    /// Placed nodes, as the ranges the nodelist names.
+    pub nodes: RangeSet,
 }
 
 /// Application exit record, written at teardown.
@@ -152,7 +153,7 @@ impl AlpsRecord {
                 let nodes =
                     parse_nodelist_bytes(get(b"nodelist").ok_or_else(|| err("missing nodelist"))?)
                         .map_err(|f| CraylogFault::new("alps", f.reason()))?;
-                if nodes.len() as u32 != width {
+                if nodes.len() != u64::from(width) {
                     return Err(err("width disagrees with nodelist"));
                 }
                 Ok(AlpsRecord::Placed(AppPlacedRecord {
@@ -229,6 +230,15 @@ impl AlpsRecord {
     }
 }
 
+/// Clones, as `From<&String> for String` does: callers that hold records
+/// by reference feed APIs that take them by value, moving the nodes out
+/// when they own them.
+impl From<&AlpsRecord> for AlpsRecord {
+    fn from(rec: &AlpsRecord) -> Self {
+        rec.clone()
+    }
+}
+
 impl fmt::Display for AlpsRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -276,7 +286,6 @@ impl fmt::Display for AlpsRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logdiver_types::NodeId;
     use proptest::prelude::*;
 
     fn placed() -> AlpsRecord {
@@ -288,7 +297,7 @@ mod tests {
             command: "namd2".into(),
             node_type: NodeType::Xe,
             width: 3,
-            nodes: [0u32, 1, 2].into_iter().map(NodeId::new).collect(),
+            nodes: RangeSet::from_unordered_runs(vec![(0, 2)]).unwrap(),
         })
     }
 
@@ -334,6 +343,33 @@ mod tests {
     fn width_mismatch_is_rejected() {
         let line = "2013-03-28 12:30:00 apsys PLACED apid=1 batch=2.bw user=u0001 cmd=x type=XE width=5 nodelist=nid[0-2]";
         assert!(AlpsRecord::parse(line).is_err());
+    }
+
+    /// A nodelist naming every nid there is counts 2^32, which a `u32`
+    /// count wraps to 0; it must not pass for `width=0`.
+    #[test]
+    fn width_check_counts_past_u32() {
+        let mut nodelist = String::from("nid[");
+        let mut first = 0u64;
+        while first <= u64::from(u32::MAX) {
+            let last = (first + 1_000_000).min(u64::from(u32::MAX));
+            if first > 0 {
+                nodelist.push(',');
+            }
+            nodelist.push_str(&format!("{first}-{last}"));
+            first = last + 1;
+        }
+        nodelist.push(']');
+        let line = format!(
+            "2013-03-28 12:30:00 apsys PLACED apid=1 batch=2.bw user=u0001 cmd=x type=XE width=0 nodelist={nodelist}"
+        );
+        assert!(line.len() > 80_000, "{} bytes", line.len());
+        let f = AlpsRecord::parse_bytes(line.as_bytes()).unwrap_err();
+        assert_eq!(f.reason(), "width disagrees with nodelist");
+        assert_eq!(
+            parse_nodelist_bytes(nodelist.as_bytes()).unwrap().len(),
+            1 << 32
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! The `differential_*` properties pin the zero-copy byte parsers against
 //! the retired allocating parsers (frozen in `craylog::reference`): same
 //! accept/reject decision and byte-identical records on every input,
-//! including corrupt and lossy-UTF-8 corpora.
+//! including corrupt and lossy-UTF-8 corpora. The reference nodelist
+//! parser still builds a dense `NodeSet`; its result is compared through
+//! `RangeSet::from`, the canonical ranges of the same nids.
 
 use craylog::alps::AlpsRecord;
 use craylog::hwerr::HwErrRecord;
@@ -13,6 +15,7 @@ use craylog::netwatch::NetwatchRecord;
 mod reference;
 use craylog::syslog::SyslogRecord;
 use craylog::torque::TorqueRecord;
+use logdiver_types::RangeSet;
 use proptest::prelude::*;
 
 /// Asserts the live parser and the frozen reference parser agree on `line`:
@@ -42,8 +45,36 @@ fn assert_parsers_agree(line: &str) {
         craylog::parse_nodelist(line),
         reference::parse_nodelist(line),
     ) {
-        (Ok(new), Ok(old)) => assert_eq!(new, old, "nodelist sets differ on {line:?}"),
+        (Ok(new), Ok(old)) => assert_eq!(
+            new,
+            RangeSet::from(&old),
+            "nodelist sets differ on {line:?}"
+        ),
         (new, old) => assert_eq!(new.is_ok(), old.is_ok(), "nodelist decision on {line:?}"),
+    }
+}
+
+/// One comma-separated part of a nodelist, picked by `kind`: mostly
+/// singletons and ranges over a small nid space, so unsorted,
+/// overlapping, duplicate and adjacent parts are common; now and then an
+/// inverted range or a malformed part. Nids stay small because the
+/// reference parser allocates a bit per nid up to the largest.
+fn nodelist_part((kind, a, w, pick): (u32, u32, u32, usize)) -> String {
+    const MALFORMED: [&str; 8] = [
+        "",
+        "0-1000001",
+        "4294967296",
+        "-3",
+        "3-",
+        "1-2-3",
+        " 4",
+        "x",
+    ];
+    match kind {
+        0..=16 => a.to_string(),
+        17..=33 => format!("{a}-{}", a + w),
+        34..=36 => format!("{}-{a}", a + w + 1),
+        _ => MALFORMED[pick].to_string(),
     }
 }
 
@@ -115,6 +146,27 @@ proptest! {
             let _ = AlpsRecord::parse(line);
             let _ = TorqueRecord::parse(line);
             let _ = NetwatchRecord::parse(line);
+        }
+    }
+
+    /// Differential: the range-building nodelist parser against the frozen
+    /// dense one, on lists in any order with overlapping, duplicate and
+    /// adjacent parts: the same nids on accept, and the same decision and
+    /// reason otherwise.
+    #[test]
+    fn differential_nodelists(
+        parts in proptest::collection::vec((0u32..38, 0u32..300, 0u32..40, 0usize..8), 0..12),
+    ) {
+        let parts: Vec<String> = parts.into_iter().map(nodelist_part).collect();
+        let line = format!("nid[{}]", parts.join(","));
+        match (craylog::parse_nodelist(&line), reference::parse_nodelist(&line)) {
+            (Ok(new), Ok(old)) => {
+                prop_assert_eq!(new.len(), old.len() as u64);
+                prop_assert_eq!(new.to_string(), old.to_string());
+                prop_assert_eq!(new, RangeSet::from(&old));
+            }
+            (Err(new), Err(old)) => prop_assert_eq!(new.reason(), old.reason()),
+            (new, old) => prop_assert!(false, "{line:?}: new {new:?}, reference {old:?}"),
         }
     }
 

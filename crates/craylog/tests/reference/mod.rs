@@ -9,8 +9,8 @@
 //! one parser per format.
 
 use logdiver_types::{
-    AppId, ErrorCategory, ExitStatus, JobId, NodeId, NodeSet, NodeType, Severity, Sym, Timestamp,
-    UserId,
+    AppId, ErrorCategory, ExitStatus, JobId, NodeId, NodeSet, NodeType, RangeSet, Severity, Sym,
+    Timestamp, UserId,
 };
 
 use bw_topology::torus::Dim;
@@ -172,7 +172,9 @@ pub fn parse_alps(line: &str) -> Result<AlpsRecord, CraylogError> {
                 command,
                 node_type,
                 width,
-                nodes,
+                // The record holds ranges now; the frozen parser's dense
+                // set converts at the boundary, nothing above it changed.
+                nodes: RangeSet::from(&nodes),
             }))
         }
         "EXIT" => {

@@ -14,7 +14,7 @@ use craylog::syslog::SyslogRecord;
 use craylog::templates;
 use craylog::torque::TorqueRecord;
 use logdiver_types::{
-    AppId, ExitStatus, JobId, NodeId, NodeSet, NodeType, SimDuration, Timestamp, UserId,
+    AppId, ExitStatus, JobId, NodeId, NodeSet, NodeType, RangeSet, SimDuration, Timestamp, UserId,
 };
 
 use crate::output::{LogStream, SimOutput};
@@ -79,7 +79,7 @@ pub fn app_placed(
         command: command.into(),
         node_type,
         width: nodes.len() as u32,
-        nodes: nodes.clone(),
+        nodes: RangeSet::from(nodes),
     });
     out.log_line(LogStream::Alps, &rec.to_string());
 }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use logdiver::coalesce::ErrorEvent;
 use logdiver::matcher::EventLookup;
-use logdiver::ranges::RangeSet;
+use logdiver_types::RangeSet;
 use logdiver_types::{SimDuration, Timestamp};
 
 /// A growing, queryable table of closed error events.
@@ -160,7 +160,7 @@ mod tests {
 
     fn ranges(nids: &[u32]) -> RangeSet {
         let set: NodeSet = nids.iter().copied().map(NodeId::new).collect();
-        RangeSet::from_node_set(&set)
+        RangeSet::from(&set)
     }
 
     #[test]

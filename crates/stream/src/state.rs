@@ -278,7 +278,7 @@ impl StreamCore {
             }
             Parsed::Alps(rec) => {
                 self.bump(i, alps_timestamp(&rec));
-                self.reconstructor.push_alps(&rec);
+                self.reconstructor.push_alps(rec);
             }
             Parsed::Torque(rec) => {
                 self.bump(i, rec.timestamp);

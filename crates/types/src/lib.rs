@@ -20,8 +20,10 @@
 //!   [`Severity`]) shared by fault injection, log emission and log filtering.
 //! - [`exit`] — application exit information ([`ExitStatus`]) and the outcome
 //!   classification ([`ExitClass`], [`FailureCause`], [`UserFailureKind`]).
-//! - [`nodeset`] — [`NodeSet`], a compact bitmap over node ids used for the
-//!   spatial joins at the heart of LogDiver.
+//! - [`nodeset`] — [`NodeSet`], a bitmap over every node id of the machine,
+//!   for allocation and scheduling.
+//! - [`ranges`] — [`RangeSet`], one placement as sorted nid ranges: what
+//!   the ALPS parser yields and every application run holds.
 //! - [`codec`] — the canonical binary encoding ([`codec::Encode`] /
 //!   [`codec::Decode`]) checkpoints are written in, implemented beside each
 //!   type that a checkpoint can reach.
@@ -66,6 +68,7 @@
 //! [`FailureCause`]: exit::FailureCause
 //! [`UserFailureKind`]: exit::UserFailureKind
 //! [`NodeSet`]: nodeset::NodeSet
+//! [`RangeSet`]: ranges::RangeSet
 //! [`Sym`]: intern::Sym
 
 #![deny(missing_docs)]
@@ -81,6 +84,7 @@ pub mod intern;
 pub mod node;
 pub mod nodeset;
 pub mod protocol;
+pub mod ranges;
 pub mod time;
 
 pub use category::{ErrorCategory, Severity, Subsystem};
@@ -91,4 +95,5 @@ pub use ids::{AppId, CabinetId, JobId, NodeId, UserId};
 pub use intern::Sym;
 pub use node::NodeType;
 pub use nodeset::NodeSet;
+pub use ranges::RangeSet;
 pub use time::{LazyTimestamp, SimDuration, Timestamp};

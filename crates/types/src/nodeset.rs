@@ -1,10 +1,12 @@
-//! Compact sets of node ids.
+//! Machine-wide sets of node ids.
 //!
-//! LogDiver's central join — "which error events touched which application
-//! runs?" — intersects node sets millions of times, so we store them as
-//! bitmaps (one bit per nid) with a cached population count. The universe is
-//! grown on demand; Blue Waters has < 2^15 nids, so a set costs a few KiB at
-//! most.
+//! The node allocator, the workload scheduler and the simulator track which
+//! of the machine's nodes are free, failed or held, inserting and removing
+//! one nid at a time, so a [`NodeSet`] is a bitmap (one bit per nid) with a
+//! cached population count. The universe is grown on demand; Blue Waters
+//! has < 2^15 nids, so a set costs a few KiB at most. One application's
+//! placement is a [`crate::RangeSet`] instead: a bitmap's cost follows the
+//! largest nid, a placement's should follow its few ranges.
 
 use std::fmt;
 use std::iter::FromIterator;
